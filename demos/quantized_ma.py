@@ -31,4 +31,4 @@ print()
 m = eb.QuantizedMaModel(1.0, 1.0)
 res = eb.tdist_bound_1(eb.qma_r0(m), eb.qma_r1(m))
 print(f"order-1 minimizer at sigma=1, theta=1: s* = {res.argmin[0]:+.6f} "
-      f"({res.optimizer_iterations} evaluations)")
+      "(closed form -2*rho/(1 + rho^2), rho = R1 / (R0 + 1/12))")

@@ -15,12 +15,10 @@ one-dimensional maximum-entropy bound they all degenerate to.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .numerics import (
     TWO_PI,
@@ -29,7 +27,7 @@ from .numerics import (
     QuadratureSpec,
     integrate_periodic_full,
 )
-from .spectrum import CovarianceSequence, SpectralDensity
+from .spectrum import CovarianceSequence, SpectralDensity, levinson_durbin
 
 LOG_2PI_E = math.log(2.0 * math.pi * math.e)
 
@@ -37,17 +35,27 @@ LOG_2PI_E = math.log(2.0 * math.pi * math.e)
 # shrunken closed region sum|beta_m| <= 1 - L1_SHRINK.
 L1_SHRINK = 1e-6
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Barrier path of the boundary solve: tau starts at _TAU_START and grows by
+# _TAU_GROWTH per centring until (number of slacks) / tau, the duality gap of
+# an exact centre, reaches _PATH_GAP.  A centre is accepted at Newton
+# decrement^2 <= _CENTERING_TOL.
+_TAU_START = 100.0
+_TAU_GROWTH = 30.0
+_PATH_GAP = 1e-12
+_CENTERING_TOL = 1e-8
+_MAX_NEWTON_STEPS = 500
 
 
 @dataclass
 class BoundResult:
-    """A bound value plus optimizer/quadrature diagnostics."""
+    """A bound value plus optimizer/quadrature diagnostics; ``duality_gap``
+    bounds how far ``value`` can lie above the infimum (0 for closed forms)."""
 
     value: float
     argmin: list | None = None
     quadrature_error_estimate: float = 0.0
     optimizer_iterations: int = 0
+    duality_gap: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -118,132 +126,112 @@ def gaussian_psd_bound(
     )
 
 
-def _golden_section(f, lo: float, hi: float, xtol: float = 1e-12):
-    """Golden-section minimization on [lo, hi]; returns (x*, f(x*), iterations)."""
-    c = hi - _GOLDEN * (hi - lo)
-    d = lo + _GOLDEN * (hi - lo)
-    fc, fd = f(c), f(d)
-    iterations = 0
-    while hi - lo > xtol:
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - _GOLDEN * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _GOLDEN * (hi - lo)
-            fd = f(d)
-        iterations += 1
-    x = 0.5 * (lo + hi)
-    return x, f(x), iterations
-
-
 def tdist_bound_1(r0: float, r1: float) -> BoundResult:
-    """Order-1 closed-form bound from R(0) and R(1).
+    """Order-1 bound from R(0) and R(1), in closed form.
 
     inf over s in (-1, 1) of
-    1/2 log(4*pi*e * ((R(0) + 1/12) + s*R(1)) / (1 + sqrt(1 - s^2))),
-    located by a 1001-point pre-scan followed by golden-section refinement.
+    1/2 log(4*pi*e * ((R(0) + 1/12) + s*R(1)) / (1 + sqrt(1 - s^2)))
+    equals 1/2 log(2*pi*e * (sigma - R(1)^2 / sigma)) with sigma = R(0) + 1/12,
+    attained at s* = -2*rho / (1 + rho^2), rho = R(1) / sigma.
     """
     if not r0 > 0:
         raise DomainError(f"R(0) must be positive, got {r0!r}")
     if abs(r1) > r0 * (1.0 + 1e-12):
         raise DomainError(f"|R(1)| = {abs(r1)} exceeds R(0) = {r0}")
     sig = r0 + 1.0 / 12.0
-    log_4pi_e = math.log(4.0 * math.pi * math.e)
-
-    def objective(s):
-        return 0.5 * (
-            log_4pi_e + math.log(sig + s * r1) - math.log1p(math.sqrt(1.0 - s * s))
-        )
-
-    lo, hi = -1.0 + 1e-9, 1.0 - 1e-9
-    grid = np.linspace(lo, hi, 1001)
-    vals = np.fromiter((objective(s) for s in grid), dtype=float, count=len(grid))
-    i = int(np.argmin(vals))
-    a = grid[max(i - 1, 0)]
-    b = grid[min(i + 1, len(grid) - 1)]
-    s_star, f_star, iterations = _golden_section(objective, a, b)
+    rho = r1 / sig
     return BoundResult(
-        value=f_star,
-        argmin=[s_star],
-        quadrature_error_estimate=0.0,
-        optimizer_iterations=iterations + len(grid),
+        value=0.5 * (LOG_2PI_E + math.log(sig - r1 * r1 / sig)),
+        argmin=[-2.0 * rho / (1.0 + rho * rho)],
     )
 
 
-class _LogPsiIntegral:
-    """Adaptive mean of log Psi(beta, .) with cached cosine tables.
+def _cosine_table(k: int, n: int) -> np.ndarray:
+    """cos(m*lambda) for m = 0..k on the n uniform nodes of [0, 2*pi)."""
+    lam = TWO_PI * np.arange(n) / n
+    return np.cos(np.multiply.outer(np.arange(k + 1), lam))
 
-    Psi(beta, lambda) = 1 + sum_m beta_m cos(m*lambda).  The same uniform
-    node sets recur across optimizer steps, so cos(m*lambda) is cached per
-    node count.
+
+def _central_path(a: np.ndarray, table: np.ndarray, limit: float):
+    """Barrier path for min a.p - mean log Psi_p over sum_m |p_m| <= limit*p_0.
+
+    Psi_p(lambda) = p_0 + sum_m p_m cos(m*lambda), averaged over the nodes
+    of ``table``.  The variables are x = (p_0..p_k, t_1..t_k) with the
+    2k + 1 linear slacks t_m - p_m, t_m + p_m and limit*p_0 - sum_m t_m.
+    Objective and barrier are self-concordant, so damped Newton steps stay
+    strictly feasible.  Returns (x, Newton steps).
     """
+    k = len(a) - 1
+    n = table.shape[1]
+    eye, col = np.eye(k), np.zeros((k, 1))
+    cons = np.block([[col, -eye, eye], [col, eye, eye], [limit, col.T, -np.ones((1, k))]])
 
-    def __init__(self, k: int, quad: QuadratureSpec):
-        self.k = k
-        self.quad = quad
-        self._tables: dict[int, np.ndarray] = {}
-        self.last_error = 0.0
-
-    def _table(self, n: int) -> np.ndarray:
-        tab = self._tables.get(n)
-        if tab is None:
-            lam = TWO_PI * np.arange(n) / n
-            orders = np.arange(1, self.k + 1)
-            tab = np.cos(np.multiply.outer(orders, lam))
-            self._tables[n] = tab
-        return tab
-
-    def fixed(self, betas: np.ndarray, n: int) -> np.ndarray:
-        """Mean of log Psi on an n-node grid for a batch of beta rows."""
-        psi = 1.0 + betas @ self._table(n)
-        np.clip(psi, 1e-300, None, out=psi)
-        return np.log(psi).mean(axis=-1)
-
-    def adaptive(self, beta: np.ndarray) -> float:
-        n = 256
-        est = float(self.fixed(beta, n))
-        prev = math.inf
-        # tolerance on the mean; enters the bound with weight 1/2
-        tol = self.quad.abs_tol
-        while n <= self.quad.max_points:
-            if abs(est - prev) < tol:
-                self.last_error = abs(est - prev)
-                return est
-            n *= 2
-            prev = est
-            est = float(self.fixed(beta, n))
-        raise ConvergenceError(
-            f"log-Psi quadrature did not converge within {self.quad.max_points} nodes",
-            estimates=(prev, est),
-        )
-
-
-def _feasible_grid(k: int, limit: float, points_per_axis: int) -> np.ndarray:
-    axis = np.linspace(-limit, limit, points_per_axis)
-    if k <= 4:
-        grid = np.array(list(itertools.product(axis, repeat=k)))
-        grid = grid[np.abs(grid).sum(axis=1) <= limit]
-    else:
-        # product grids explode beyond k = 4; fall back to axis-aligned rays
-        grid = [np.zeros(k)]
-        for m in range(k):
-            for v in axis:
-                b = np.zeros(k)
-                b[m] = v
-                grid.append(b)
-        grid = np.array(grid)
-    zero = np.zeros((1, k))
-    return np.vstack([zero, grid])
+    x = np.concatenate(([1.0], np.zeros(k), np.full(k, limit / (k + 1)))) / a[0]
+    tau, tau_end = _TAU_START, len(cons) / _PATH_GAP
+    dec2 = math.inf
+    for steps in range(1, _MAX_NEWTON_STEPS + 1):
+        w = table / (x[: k + 1] @ table)
+        slack = cons @ x
+        obj_grad = a - w.mean(axis=1)
+        grad = -(cons.T @ (1.0 / slack))
+        grad[: k + 1] += tau * obj_grad
+        hess = (cons.T / slack**2) @ cons
+        hess[: k + 1, : k + 1] += (tau / n) * (w @ w.T)
+        rhs = np.column_stack([-grad, np.append(obj_grad, np.zeros(k))])
+        d = 1.0 / np.sqrt(np.diag(hess))
+        sol = d[:, None] * np.linalg.solve(hess * np.outer(d, d), rhs * d[:, None])
+        newton = sol[:, 0]
+        last, dec2 = dec2, float(-grad @ newton)
+        # centred: decrement small, or no longer shrinking quadratically
+        # (rounding in the nearly active slacks sets a floor at large tau)
+        centred = dec2 <= _CENTERING_TOL or (last < 0.0625 and dec2 > 0.5 * last)
+        if not centred:
+            move = newton / (1.0 + math.sqrt(dec2))
+        elif tau >= tau_end:
+            return x, steps
+        else:
+            # predictor to the next centre: along the path the active slacks
+            # shrink like 1/tau, so extrapolate linearly in 1/tau
+            growth = min(_TAU_GROWTH, tau_end / tau)
+            move = newton - (1.0 - 1.0 / growth) * tau * sol[:, 1]
+            tau *= growth
+            dec2 = math.inf
+        h = 1.0
+        while np.any(cons @ (x + h * move) <= 0.0):
+            h *= 0.5
+        x = x + h * move
+    raise ConvergenceError(
+        f"order-k Newton solve did not converge in {_MAX_NEWTON_STEPS} steps",
+        estimates=(tau, dec2),
+    )
 
 
-def tdist_bound_k(
-    cov: CovarianceSequence,
-    quad: QuadratureSpec | None = None,
-    grid_points_per_axis: int = 11,
-    fatol: float = 1e-8,
-) -> BoundResult:
+def _objective(a: np.ndarray, beta: np.ndarray, table: np.ndarray) -> float:
+    """1/2 log(2*pi*e*Sigma(beta)) - mean log Psi(beta, .) / 2 on the nodes of table."""
+    psi = 1.0 + beta @ table[1:]
+    return 0.5 * (LOG_2PI_E + math.log(a[0] + beta @ a[1:]) - float(np.log(psi).mean()))
+
+
+def _dual_bound(a: np.ndarray, beta: np.ndarray, table: np.ndarray, limit: float) -> float:
+    """A lower bound on the order-k minimum from the moments of 1/Psi at beta.
+
+    For mu >= 0 and |z_m| <= mu, weak duality bounds the minimum below by the
+    Gaussian maximum-entropy value of (a_0 - mu*limit, a_1 + z_1, ...,
+    a_k + z_k), which Levinson-Durbin gives in closed form.  The multipliers
+    are read off g_m = mean(cos(m*lambda) / Psi_p) at p = (1, beta) / Sigma(beta)
+    through the KKT conditions g = (a_0 - mu*limit, a_1 + z_1, ...), so the
+    bound is tight when beta is optimal.
+    """
+    g = (a[0] + beta @ a[1:]) * (table / (1.0 + beta @ table[1:])).mean(axis=1)
+    mu = max(0.0, (a[0] - g[0]) / limit)
+    dual = np.concatenate(([a[0] - mu * limit], a[1:] + np.clip(g[1:] - a[1:], -mu, mu)))
+    _, kappas, err = levinson_durbin(dual)
+    if not (dual[0] > 0.0 and abs(kappas[-1]) < 1.0):
+        return -math.inf
+    return 0.5 * (LOG_2PI_E + math.log(err))
+
+
+def tdist_bound_k(cov: CovarianceSequence, quad: QuadratureSpec | None = None) -> BoundResult:
     """Order-k bound from the covariances [R(0), ..., R(k)].
 
     Minimizes 1/2 log(2*pi*e*Sigma(beta)) - (1/4pi) Int log Psi(beta, lambda)
@@ -251,85 +239,61 @@ def tdist_bound_k(
     Sigma(beta) = (R(0) + 1/12) + sum_m beta_m R(m) and
     Psi(beta, lambda) = 1 + sum_m beta_m cos(m*lambda).
 
-    A coarse product grid seeds a Nelder-Mead refinement with an l1-violation
-    penalty.  The objective is smooth inside the region but not known to be
-    convex; for k >= 4 the reported argmin may be a local minimum.
+    Without the region the minimum is Burg's maximum-entropy value
+    1/2 log(2*pi*e*sigma_k^2), with sigma_k^2 the order-k Levinson-Durbin
+    prediction error of (R(0) + 1/12, R(1), ..., R(k)) and
+    beta_m = 2 c_m / c_0, c_m = sum_j a_j a_{j+m} for its prediction
+    polynomial a.  When that beta lies in the region it is returned as is.
+    Otherwise the minimum lies on the region's boundary; the problem is convex
+    in the precision coordinates p = (1, beta) / Sigma(beta) and is solved by
+    a damped-Newton barrier method, doubling the quadrature nodes until the
+    value and the duality gap settle.  ``duality_gap`` certifies how far the
+    value can be above the true infimum.
     """
     quad = quad or QuadratureSpec()
     k = cov.k
-    r = np.asarray(cov.values, dtype=float)
+    a = np.asarray(cov.values, dtype=float)
     if k == 0:
-        return BoundResult(value=univariate_me_bound(r[0]), argmin=[])
-    sig1 = r[0] + 1.0 / 12.0
+        return BoundResult(value=univariate_me_bound(a[0]), argmin=[])
+    a[0] += 1.0 / 12.0
+    poly, kappas, err = levinson_durbin(a)
+    if not abs(kappas[-1]) < 1.0:
+        raise DomainError("Toeplitz matrix of R(0..k) + I/12 is not positive definite")
+    c = np.correlate(poly, poly, "full")[k:]
+    beta = 2.0 * c[1:] / c[0]
     limit = 1.0 - L1_SHRINK
-    integral = _LogPsiIntegral(k, quad)
-
-    def sigma_of(beta: np.ndarray) -> float:
-        return sig1 + float(beta @ r[1:])
-
-    def objective(beta: np.ndarray) -> float:
-        l1 = float(np.abs(beta).sum())
-        penalty = 0.0
-        if l1 > limit:
-            beta = beta * (limit / l1)
-            penalty = 100.0 * (l1 - limit)
-        sig = sigma_of(beta)
-        if sig <= 0.0:
-            return math.inf
-        return (
-            0.5 * (LOG_2PI_E + math.log(sig))
-            - 0.5 * integral.adaptive(beta)
-            + penalty
+    if np.abs(beta).sum() <= limit:
+        return BoundResult(
+            value=0.5 * (LOG_2PI_E + math.log(err)),
+            argmin=[float(b) for b in beta],
         )
 
-    # coarse grid scan on a fixed 1024-node quadrature, evaluated in blocks
-    candidates = _feasible_grid(k, limit, grid_points_per_axis)
-    best_beta = np.zeros(k)
-    best_val = math.inf
-    for start in range(0, len(candidates), 512):
-        block = candidates[start : start + 512]
-        sig = sig1 + block @ r[1:]
-        ok = sig > 0.0
-        vals = np.full(len(block), math.inf)
-        if np.any(ok):
-            vals[ok] = 0.5 * (LOG_2PI_E + np.log(sig[ok])) - 0.5 * integral.fixed(
-                block[ok], 1024
+    steps = 0
+    estimates = ()
+    n = 256
+    table = _cosine_table(k, n)
+    while 2 * n <= quad.max_points:
+        finer = _cosine_table(k, 2 * n)
+        x, used = _central_path(a, table, limit)
+        steps += used
+        # the path stops just inside the region: scale beta onto its
+        # boundary, and certify that point with the path point's multipliers
+        path_beta = x[1 : k + 1] / x[0]
+        beta = path_beta * (limit / np.abs(path_beta).sum())
+        value, value2 = _objective(a, beta, table), _objective(a, beta, finer)
+        gap = value - _dual_bound(a, path_beta, table, limit)
+        gap2 = value2 - _dual_bound(a, path_beta, finer, limit)
+        estimates = (value, value2)
+        if abs(value2 - value) < 0.5 * quad.abs_tol and abs(gap2 - gap) < quad.abs_tol:
+            return BoundResult(
+                value=value2,
+                argmin=[float(b) for b in beta],
+                quadrature_error_estimate=abs(value2 - value),
+                optimizer_iterations=steps,
+                duality_gap=gap2,
             )
-        i = int(np.argmin(vals))
-        if vals[i] < best_val:
-            best_val = float(vals[i])
-            best_beta = block[i].copy()
-
-    step = limit / max(grid_points_per_axis - 1, 1)
-    simplex = np.vstack([best_beta] + [best_beta + step * e for e in np.eye(k)])
-    res = optimize.minimize(
-        objective,
-        best_beta,
-        method="Nelder-Mead",
-        options={
-            "initial_simplex": simplex,
-            "fatol": fatol,
-            "xatol": 1e-9,
-            "maxiter": 4000 * k,
-            "maxfev": 4000 * k,
-        },
-    )
-    if not res.success and "maximum" in (res.message or "").lower():
-        raise ConvergenceError(
-            f"order-k optimizer did not converge: {res.message}",
-            estimates=(best_val, float(res.fun)),
-        )
-    beta_star = np.asarray(res.x, dtype=float)
-    l1 = float(np.abs(beta_star).sum())
-    if l1 > limit:
-        beta_star = beta_star * (limit / l1)
-    value = (
-        0.5 * (LOG_2PI_E + math.log(sigma_of(beta_star)))
-        - 0.5 * integral.adaptive(beta_star)
-    )
-    return BoundResult(
-        value=float(value),
-        argmin=[float(b) for b in beta_star],
-        quadrature_error_estimate=0.5 * integral.last_error,
-        optimizer_iterations=int(res.nit),
+        n, table = 2 * n, finer
+    raise ConvergenceError(
+        f"order-k bound quadrature did not settle within {quad.max_points} nodes",
+        estimates=estimates,
     )

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
 
 from .numerics import DomainError
 from .processes import (
@@ -119,6 +118,8 @@ def simulate(model: ProcessModel, n: int, seed: int) -> SamplePath:
         w = rng.normal(0.0, model.sigma, n + 1)
         values = _quantize_array(w[1:] + model.theta * w[:-1])
     elif isinstance(model, QuantizedArModel):
+        from scipy import signal
+
         sigma0 = math.sqrt(model.stationary_variance)
         x0 = rng.normal(0.0, sigma0)
         w = rng.normal(0.0, model.sigma, n)

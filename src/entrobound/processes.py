@@ -623,9 +623,9 @@ def qar_rk(model: QuantizedArModel, k: int) -> float:
 
 
 def qar_th2_bound(model: QuantizedArModel, k: int) -> BoundResult:
-    """Order-k covariance-route bound using lags R(0), ..., R(k), 1 <= k <= 4."""
-    if not 1 <= k <= 4:
-        raise DomainError("k must lie in 1..4")
+    """Order-k covariance-route bound using lags R(0), ..., R(k), k >= 1."""
+    if k < 1:
+        raise DomainError("k must be >= 1")
     values = [qar_r0(model)] + [qar_rk(model, j) for j in range(1, k + 1)]
     return tdist_bound_k(CovarianceSequence(tuple(values)))
 

@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import linalg
 
 from .numerics import TWO_PI, DomainError, QuadratureSpec
 
@@ -17,6 +16,30 @@ _NEGATIVITY_SLACK = 1e-9
 
 class PsdValidationError(DomainError):
     """A candidate spectral density is negative on the validation grid."""
+
+
+def levinson_durbin(r: Sequence[float]) -> tuple[np.ndarray, list, float]:
+    """Levinson-Durbin recursion on the autocovariances r[0..k].
+
+    Returns the prediction polynomial a (a[0] = 1), the reflection
+    coefficients kappa_1.. and the prediction error variance.  The recursion
+    stops at the first |kappa_m| >= 1, where the Toeplitz matrix of
+    r[0..m] is not positive definite; the last returned coefficient is then
+    that kappa_m.
+    """
+    r = np.asarray(r, dtype=float)
+    a = np.ones(1)
+    kappas = []
+    err = float(r[0])
+    for m in range(1, len(r)):
+        kappa = -float(a @ r[m:0:-1]) / err
+        kappas.append(kappa)
+        if not abs(kappa) < 1.0:
+            break
+        a = np.append(a, 0.0)
+        a += kappa * a[::-1]
+        err *= 1.0 - kappa * kappa
+    return a, kappas, err
 
 
 @dataclass(frozen=True)
@@ -35,11 +58,16 @@ class CovarianceSequence:
         r0 = vals[0]
         if not r0 > 0:
             raise DomainError(f"R(0) must be positive, got {r0!r}")
-        for m, v in enumerate(vals[1:], start=1):
-            if abs(v) > r0 * (1.0 + 1e-12):
-                raise DomainError(
-                    f"|R({m})| = {abs(v)} exceeds R(0) = {r0} (Cauchy-Schwarz)"
-                )
+        # The Toeplitz matrix of R(0..k) must be positive semidefinite, up to
+        # a relative 1e-12 raise of its diagonal (singular sequences pass).
+        _, kappas, _ = levinson_durbin((r0 * (1.0 + 1e-12),) + vals[1:])
+        if len(kappas) == 1 and not abs(kappas[0]) < 1.0:
+            raise DomainError(f"|R(1)| = {abs(vals[1])} exceeds R(0) = {r0} (Cauchy-Schwarz)")
+        if kappas and not abs(kappas[-1]) < 1.0:
+            raise DomainError(
+                f"covariances R(0..{len(kappas)}) are not positive semidefinite "
+                f"(reflection coefficient {kappas[-1]:.6g}); no process has them"
+            )
 
     @property
     def k(self) -> int:
@@ -204,6 +232,8 @@ def toeplitz_gaussian_bound_finite(cov: CovarianceSequence, n: int) -> float:
     stored lags).  The log-determinant is computed through a banded
     Cholesky factorization, O(n * k^2) for bandwidth k.
     """
+    from scipy import linalg
+
     if n < 1:
         raise DomainError("n must be >= 1")
     k = min(cov.k, n - 1)

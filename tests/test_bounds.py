@@ -5,6 +5,7 @@ import pytest
 from scipy import integrate
 
 from entrobound.bounds import (
+    L1_SHRINK,
     BetaVector,
     gaussian_entropy_rate,
     gaussian_psd_bound,
@@ -114,6 +115,13 @@ class TestTdistBound1:
         assert pos.value == pytest.approx(neg.value, abs=1e-10)
         assert pos.argmin[0] == pytest.approx(-neg.argmin[0], abs=1e-6)
 
+    def test_argmin_closed_form(self, rng):
+        for _ in range(25):
+            r0 = float(rng.uniform(0.1, 5.0))
+            r1 = float(r0 * rng.uniform(-1.0, 1.0))
+            rho = r1 / (r0 + 1.0 / 12.0)
+            assert tdist_bound_1(r0, r1).argmin[0] == pytest.approx(-2 * rho / (1 + rho**2), abs=1e-15)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             tdist_bound_1(0.0, 0.0)
@@ -178,33 +186,91 @@ class TestBetaVector:
             BetaVector((0.7, 0.4))
 
 
+def _grid_objective(cov, betas, nodes=1024):
+    """Order-k objective at each row of betas, by plain trapezoid quadrature."""
+    r = np.asarray(cov.values)
+    lam = 2 * math.pi * np.arange(nodes) / nodes
+    table = np.cos(np.outer(np.arange(1, cov.k + 1), lam))
+    out = np.empty(len(betas))
+    for start in range(0, len(betas), 1024):
+        block = betas[start : start + 1024]
+        sig = r[0] + 1.0 / 12.0 + block @ r[1:]
+        mean_log_psi = np.log(1.0 + block @ table).mean(axis=1)
+        out[start : start + 1024] = 0.5 * (LOG_2PI_E + np.log(sig) - mean_log_psi)
+    return out
+
+
+def _l1_grid(k, points):
+    """The product grid on [-limit, limit]^k, restricted to the l1 region."""
+    limit = 1.0 - L1_SHRINK
+    axis = np.linspace(-limit, limit, points)
+    grid = np.stack(np.meshgrid(*([axis] * k), indexing="ij"), axis=-1).reshape(-1, k)
+    return grid[np.abs(grid).sum(axis=1) <= limit]
+
+
 class TestOptimizerQuality:
+    # independent check: a dense grid over the l1 region must never find a
+    # strictly better objective value than the solver
     def test_order2_not_worse_than_dense_grid(self, rng):
-        # independent check: a 201 x 201 grid over the l1 ball must never
-        # find a strictly better objective value than the optimizer
-        from entrobound.bounds import _LogPsiIntegral
-        from entrobound.numerics import QuadratureSpec
+        grid = _l1_grid(2, 201)
+        for _ in range(10):
+            cov = random_ma_covariance(rng, lags=2)
+            res = tdist_bound_k(cov)
+            assert -1e-12 <= res.duality_gap <= 1e-9
+            assert res.value <= _grid_objective(cov, grid).min() + 1e-9
 
-        for _ in range(2):
-            c = rng.normal(size=3)
-            cov = CovarianceSequence(
-                tuple(float(np.dot(c[: 3 - k], c[k:])) for k in range(3))
-            )
-            ours = tdist_bound_k(cov).value
+    def test_order3_not_worse_than_dense_grid(self, rng):
+        grid = _l1_grid(3, 41)
+        for _ in range(3):
+            cov = random_ma_covariance(rng, lags=3)
+            res = tdist_bound_k(cov)
+            assert -1e-12 <= res.duality_gap <= 1e-9
+            assert res.value <= _grid_objective(cov, grid).min() + 1e-9
 
-            r = np.asarray(cov.values)
-            sig1 = r[0] + 1.0 / 12.0
-            integral = _LogPsiIntegral(2, QuadratureSpec())
-            axis = np.linspace(-0.999999, 0.999999, 201)
-            best = math.inf
-            for b1 in axis:
-                b2 = axis[np.abs(axis) <= 0.999999 - abs(b1)]
-                if len(b2) == 0:
-                    continue
-                betas = np.column_stack([np.full(len(b2), b1), b2])
-                sig = sig1 + betas @ r[1:]
-                vals = 0.5 * (LOG_2PI_E + np.log(sig)) - 0.5 * integral.fixed(
-                    betas, 2048
-                )
-                best = min(best, float(vals.min()))
-            assert ours <= best + 1e-6
+    def test_order4_below_order1_and_univariate(self, rng):
+        limit = 1.0 - L1_SHRINK
+        boundary = 0
+        for _ in range(300):
+            cov = random_ma_covariance(rng, lags=4)
+            r = cov.values
+            res = tdist_bound_k(cov)
+            assert res.value <= tdist_bound_1(r[0], r[1]).value + 1e-12
+            assert res.value <= univariate_me_bound(r[0]) + 1e-12
+            assert -1e-12 <= res.duality_gap <= 1e-9
+            l1 = sum(abs(b) for b in res.argmin)
+            assert l1 <= limit + 1e-12
+            if res.optimizer_iterations:
+                boundary += 1
+                assert abs(l1 - limit) <= 1e-7
+        assert boundary > 0
+
+    def test_dual_bound_below_minimum_from_any_point(self, rng):
+        # weak duality: the certificate's lower bound holds whatever beta
+        # the multipliers are read from, not only near the optimum
+        from entrobound.bounds import _cosine_table, _dual_bound
+
+        limit = 1.0 - L1_SHRINK
+        table = _cosine_table(3, 1024)
+        for _ in range(20):
+            cov = random_ma_covariance(rng, lags=3)
+            value = tdist_bound_k(cov).value
+            a = np.asarray(cov.values) + np.eye(4)[0] / 12.0
+            for beta in rng.uniform(-1.0, 1.0, size=(10, 3)):
+                beta *= rng.uniform(0.0, limit) / np.abs(beta).sum()
+                assert _dual_bound(a, beta, table, limit) <= value + 1e-12
+
+    def test_interior_optimum_is_determinant_ratio(self, rng):
+        # Burg's maximum-entropy value: sigma_k^2 = det T_{k+1} / det T_k
+        interior = 0
+        for _ in range(200):
+            cov = random_ma_covariance(rng)
+            res = tdist_bound_k(cov)
+            if res.optimizer_iterations:
+                continue
+            interior += 1
+            shifted = np.asarray(cov.values) + np.eye(cov.k + 1)[0] / 12.0
+            toeplitz = shifted[np.abs(np.subtract.outer(np.arange(cov.k + 1), np.arange(cov.k + 1)))]
+            ratio = np.linalg.det(toeplitz) / np.linalg.det(toeplitz[:-1, :-1])
+            assert res.value == pytest.approx(0.5 * math.log(2 * math.pi * math.e * ratio), abs=1e-12)
+            assert res.duality_gap == 0.0
+        assert interior > 20

@@ -128,6 +128,16 @@ class TestBoundCov:
         assert run_cli(["bound-cov", "--input", str(tmp_path / "nope.txt"), "--out", "-"]) == 2
 
 
+@pytest.mark.parametrize("command", ["bound-cov", "bound-psd"])
+def test_not_positive_semidefinite_exit_code(tmp_path, capsys, command):
+    src = tmp_path / "cov.txt"
+    src.write_text("1,0.99,-0.99\n")
+    assert run_cli([command, "--input", str(src), "--out", "-"]) == 2
+    captured = capsys.readouterr()
+    assert "positive semidefinite" in captured.err
+    assert captured.out == ""
+
+
 class TestBoundPsd:
     def test_bound_and_rate(self, tmp_path):
         src = tmp_path / "cov.txt"

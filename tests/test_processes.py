@@ -333,7 +333,11 @@ class TestQuantizedArBounds:
 
     def test_k_domain(self):
         with pytest.raises(DomainError):
-            qar_th2_bound(QuantizedArModel(1.0, 0.5, 1.0), 5)
+            qar_th2_bound(QuantizedArModel(1.0, 0.5, 1.0), 0)
+
+    def test_k6_not_above_k4(self):
+        m = QuantizedArModel(1.0, 0.9, 4.0)
+        assert qar_th2_bound(m, 6).value <= qar_th2_bound(m, 4).value + 1e-12
 
 
 class TestQuantizedArConditionalEntropy:

@@ -33,6 +33,16 @@ class TestCovarianceSequence:
         with pytest.raises(DomainError):
             CovarianceSequence((1.0, 1.5))
 
+    def test_not_positive_semidefinite(self):
+        # each lag passes Cauchy-Schwarz, but det T_3 < 0: no process has it
+        with pytest.raises(DomainError, match="positive semidefinite"):
+            CovarianceSequence((1.0, 0.99, -0.99))
+
+    def test_singular_but_valid(self):
+        # X_n = X_0 and X_n = (-1)^n X_0 have singular Toeplitz matrices
+        CovarianceSequence((1.0, 1.0, 1.0, 1.0))
+        CovarianceSequence((2.0, -2.0, 2.0))
+
 
 class TestPsdFromFiniteCovariance:
     def test_white(self):
