@@ -33,19 +33,31 @@ def _fmt(x) -> str:
     return f"{x:.9g}"
 
 
+MAX_GRID_POINTS = 10**5
+
+
 def _grid(start: float, stop: float, step: float) -> list[float]:
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise DomainError(
+            f"grid start, stop and step must be finite, got {start!r}, {stop!r}, {step!r}"
+        )
     if not step > 0:
         raise DomainError(f"grid step must be positive, got {step!r}")
-    count = int(round((stop - start) / step)) + 1
-    if count < 1:
+    steps = (stop - start) / step  # may overflow to +-inf
+    if steps < -0.5:
         raise DomainError(f"empty grid: start {start!r} exceeds stop {stop!r}")
-    return [float(f"{start + i * step:.12g}") for i in range(count)]
+    if not steps < MAX_GRID_POINTS - 0.5:
+        raise DomainError(f"grid would have more than {MAX_GRID_POINTS} points")
+    return [float(f"{start + i * step:.12g}") for i in range(int(round(steps)) + 1)]
 
 
 def _max_workers() -> int:
     env = os.environ.get("ENTROBOUND_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise DomainError(f"ENTROBOUND_THREADS must be an integer, got {env!r}") from None
     return max(1, os.cpu_count() or 1)
 
 

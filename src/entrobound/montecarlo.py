@@ -1,8 +1,8 @@
 """Simulation oracles: seeded sample paths and empirical estimators.
 
 Paths are integer-valued, stationary from the first sample, and bit-identical
-under the same (model, n, seed).  Standard errors use batch means (64 batches)
-because the paths are autocorrelated.
+under the same (model, n, seed) within a version.  Standard errors use batch
+means (64 batches) because the paths are autocorrelated.
 """
 
 from __future__ import annotations
@@ -59,29 +59,27 @@ def _quantize_array(x: np.ndarray) -> np.ndarray:
 def _two_state_chain(rng: np.random.Generator, g1: float, g2: float, n: int) -> np.ndarray:
     """States in {0, 1} (0 = first state), started from the stationary law.
 
-    For g1 + g2 <= 1 the chain is sampled through its regeneration
-    representation (resample from the stationary-conditional law with
-    probability g1 + g2, else hold), which vectorizes; otherwise a direct
-    sequential sweep is used.
+    The path is laid down as alternating sojourns: Geometric(g1) steps in
+    state 0, Geometric(g2) steps in state 1.  By memorylessness the first
+    sojourn from a stationary start has the same law.  Sojourn pairs are
+    drawn in blocks of the expected count plus at least four standard
+    deviations, so a second block is rare; each block is capped by the pairs
+    that can still be used, so at most n + 2 lengths are drawn in all.
     """
     r = g1 + g2
     x0 = 1 if rng.random() < g1 / r else 0
-    u = rng.random(n)
-    if r <= 1.0:
-        reset = u < r
-        fresh = (u < g1).astype(np.int64)  # P(state 1 | reset) = g1 / r
-        pos = np.where(reset, np.arange(n), -1)
-        last = np.maximum.accumulate(pos)
-        return np.where(last >= 0, fresh[np.maximum(last, 0)], x0)
-    states = np.empty(n, dtype=np.int64)
-    cur = x0
-    for i in range(n):
-        if cur == 0:
-            cur = 1 if u[i] < g1 else 0
-        else:
-            cur = 0 if u[i] < g2 else 1
-        states[i] = cur
-    return states
+    first, second = (g2, g1) if x0 else (g1, g2)
+    expected = n * g1 * g2 / r  # pairs to cover n steps, on average
+    block = int(expected + 4.0 * math.sqrt(expected)) + 2
+    parts = []
+    total = 0
+    while total < n:
+        m = min(block, (n - total) // 2 + 1)
+        pairs = np.column_stack((rng.geometric(first, m), rng.geometric(second, m)))
+        parts.append(pairs.ravel())
+        total += int(parts[-1].sum())
+    lengths = np.diff(np.minimum(np.cumsum(np.concatenate(parts)), n), prepend=0)
+    return np.repeat((np.arange(len(lengths)) + x0) % 2, lengths)
 
 
 def simulate(model: ProcessModel, n: int, seed: int) -> SamplePath:
@@ -106,14 +104,16 @@ def simulate(model: ProcessModel, n: int, seed: int) -> SamplePath:
     elif isinstance(model, TwoStateHmm):
         states = _two_state_chain(rng, model.gamma1, model.gamma2, n)
         em = model.emission
-        if isinstance(em, BinomialEmission):
-            p = np.where(states == 0, em.p1, em.p2)
-            values = rng.binomial(em.trials, p).astype(np.int64)
-        elif isinstance(em, PoissonEmission):
-            lam = np.where(states == 0, em.rate1, em.rate2)
-            values = rng.poisson(lam).astype(np.int64)
-        else:
-            raise DomainError(f"unknown emission {em!r}")
+        values = np.empty(n, dtype=np.int64)
+        for state in (0, 1):  # one draw per state: same law as per-sample parameters
+            visits = states == state
+            size = int(visits.sum())
+            if isinstance(em, BinomialEmission):
+                values[visits] = rng.binomial(em.trials, (em.p1, em.p2)[state], size)
+            elif isinstance(em, PoissonEmission):
+                values[visits] = rng.poisson((em.rate1, em.rate2)[state], size)
+            else:
+                raise DomainError(f"unknown emission {em!r}")
     elif isinstance(model, QuantizedMaModel):
         w = rng.normal(0.0, model.sigma, n + 1)
         values = _quantize_array(w[1:] + model.theta * w[:-1])

@@ -405,15 +405,29 @@ def _pair_conditional_entropy(
 # ---------------------------------------------------------------------------
 
 
+# H(rate) ~ 1/2 log(2 pi e rate) + sum_j c_j / rate^j, from Stirling's series
+# averaged over the Poisson central moments.  Six terms leave a truncation
+# error below 1e-13 from rate 100 on, where the series below starts to lose
+# digits (2e-11 at rate 100, 5e-8 at rate 1000).
+_POISSON_ASYMPTOTIC = (-1 / 12, -1 / 24, -19 / 360, -9 / 80, -863 / 2520, -1375 / 1008)
+_POISSON_ASYMPTOTIC_FROM = 100.0
+
+
 def poisson_entropy(model: PoissonModel, tol: float = 1e-12) -> float:
     """Entropy of a Poisson(rate) variable in nats.
 
-    rate*(1 - log rate) + e^{-rate} * sum_k rate^k log(k!) / k!, with the
-    series truncated once a geometric tail bound falls below ``tol``.
+    Below rate 100: rate*(1 - log rate) + e^{-rate} * sum_k rate^k log(k!) / k!,
+    with the series truncated once a geometric tail bound falls below ``tol``.
+    From rate 100 on: the asymptotic expansion, accurate to 1e-13.
     """
     if not tol > 0:
         raise DomainError("tol must be positive")
     lam = model.rate
+    if lam >= _POISSON_ASYMPTOTIC_FROM:
+        correction = 0.0
+        for c in reversed(_POISSON_ASYMPTOTIC):
+            correction = (correction + c) / lam
+        return 0.5 * math.log(2.0 * math.pi * math.e * lam) + correction
     log_lam = math.log(lam)
     total = lam * (1.0 - log_lam)
     k = 1

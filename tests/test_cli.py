@@ -5,7 +5,7 @@ import math
 import pytest
 
 from entrobound import cli
-from entrobound.numerics import ConvergenceError
+from entrobound.numerics import ConvergenceError, DomainError
 
 
 def run_cli(args):
@@ -45,6 +45,13 @@ class TestFig1:
         run_cli(["fig1", "--lambda-max", "0.2", "--out", str(out)])
         text = out.read_text().splitlines()
         assert text[1].startswith("0,0,0.176485208")
+
+    def test_large_rate(self, tmp_path):
+        # the series would need 4e6 terms here; the asymptotic expansion takes over
+        out = tmp_path / "fig1.csv"
+        assert run_cli(["fig1", "--lambda-min", "1e6", "--lambda-max", "1e6", "--out", str(out)]) == 0
+        (row,) = read_csv(out)
+        assert float(row["H_poisson"]) == pytest.approx(8.32669373, abs=1e-8)
 
 
 class TestFig2:
@@ -157,6 +164,28 @@ class TestGridValidation:
     def test_empty_grid(self):
         assert run_cli(["fig1", "--lambda-min", "5", "--lambda-max", "1", "--out", "-"]) == 2
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["fig2", "--theta-max", "inf"],
+            ["fig2", "--theta-max", "nan"],
+            ["fig1", "--lambda-min=-inf"],
+            ["fig4", "--phi-step", "nan"],
+        ],
+    )
+    def test_non_finite_grid(self, args, capsys):
+        assert run_cli(args + ["--out", "-"]) == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_huge_grid_rejected_before_allocation(self, capsys):
+        assert run_cli(["fig1", "--lambda-max", "1e12", "--lambda-step", "1e-3", "--out", "-"]) == 2
+        assert f"more than {cli.MAX_GRID_POINTS} points" in capsys.readouterr().err
+
+    def test_grid_size_limit_is_inclusive(self):
+        assert len(cli._grid(0.0, cli.MAX_GRID_POINTS - 1.0, 1.0)) == cli.MAX_GRID_POINTS
+        with pytest.raises(DomainError):
+            cli._grid(0.0, float(cli.MAX_GRID_POINTS), 1.0)
+
 
 class TestNonFiniteJson:
     def test_vanishing_psd_rate_serializes(self, tmp_path):
@@ -212,6 +241,17 @@ class TestThreadCapAndErrors:
         assert cli._max_workers() == 1
         out = tmp_path / "fig1.csv"
         assert run_cli(["fig1", "--lambda-max", "0.2", "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("value,workers", [("3", 3), ("0", 1), ("-2", 1)])
+    def test_thread_env_value(self, monkeypatch, value, workers):
+        monkeypatch.setenv("ENTROBOUND_THREADS", value)
+        assert cli._max_workers() == workers
+
+    @pytest.mark.parametrize("value", ["abc", "2.5"])
+    def test_thread_env_not_an_integer(self, monkeypatch, capsys, value):
+        monkeypatch.setenv("ENTROBOUND_THREADS", value)
+        assert run_cli(["fig1", "--lambda-max", "0.2", "--out", "-"]) == 2
+        assert "ENTROBOUND_THREADS" in capsys.readouterr().err
 
     def test_non_convergence_exit_code(self, monkeypatch, capsys):
         def boom(grid):

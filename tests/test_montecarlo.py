@@ -91,6 +91,69 @@ class TestSimulate:
             simulate(PoissonModel(1.0), 0, seed=1)
 
 
+def _states(g1, g2, n, seed):
+    # emissions with p1 = 0 and p2 = 1 reveal the hidden state
+    return simulate(TwoStateHmm(g1, g2, BinomialEmission(1, 0.0, 1.0)), n, seed).values
+
+
+class TestTwoStateSampler:
+    # a sticky chain, the i.i.d. one (g1 + g2 = 1) and one that tends to alternate
+    GAMMAS = [(0.1, 0.3, 51), (0.5, 0.5, 52), (0.7, 0.6, 53)]
+
+    @pytest.mark.parametrize("g1,g2,seed", GAMMAS)
+    def test_transition_frequencies(self, g1, g2, seed):
+        x = _states(g1, g2, 10**6, seed)
+        for state, leave in ((0, g1), (1, g2)):
+            nxt = x[1:][x[:-1] == state]
+            freq = np.mean(nxt != state)
+            se = math.sqrt(leave * (1 - leave) / len(nxt))
+            assert abs(freq - leave) <= 4 * se
+
+    @pytest.mark.parametrize("g1,g2,seed", GAMMAS)
+    def test_mean_sojourn_lengths(self, g1, g2, seed):
+        x = _states(g1, g2, 10**6, seed)
+        edges = np.concatenate(([0], np.flatnonzero(np.diff(x)) + 1, [len(x)]))
+        lengths, labels = np.diff(edges)[:-1], x[edges[:-2]]  # the last run is cut short
+        for state, leave in ((0, g1), (1, g2)):
+            runs = lengths[labels == state]
+            se = math.sqrt(1 - leave) / leave / math.sqrt(len(runs))  # Geometric(leave)
+            assert abs(runs.mean() - 1 / leave) <= 4 * se
+
+    @pytest.mark.parametrize("g1,g2", [(0.1, 0.3), (0.7, 0.6)])
+    def test_stationary_start(self, g1, g2):
+        # like test_ar_stationary_start: the first state already has the stationary law
+        firsts = np.array([_states(g1, g2, 1, s)[0] for s in range(4000)])
+        p = g1 / (g1 + g2)
+        assert abs(firsts.mean() - p) <= 4 * math.sqrt(p * (1 - p) / 4000)
+
+    @pytest.mark.parametrize(
+        "g1,g2", [(1e-4, 0.9999), (0.9999, 1e-4), (1e-4, 1e-4), (0.9999, 0.9999)]
+    )
+    @pytest.mark.parametrize("n", [1, 10, 10**5])
+    def test_exact_length_at_extreme_gammas(self, g1, g2, n):
+        for seed in (0, 1, 2):
+            x = _states(g1, g2, n, seed)
+            assert len(x) == n
+            assert set(np.unique(x)) <= {0, 1}
+
+    def test_short_first_block(self):
+        # at this seed the first block of sojourns covers fewer than n steps,
+        # so the sampler draws a second block
+        x = _states(1e-4, 0.9999, 10**5, 2514)
+        assert len(x) == 10**5
+        assert np.array_equal(x, _states(1e-4, 0.9999, 10**5, 2514))
+
+    def test_cli_matches_in_process(self, tmp_path):
+        from entrobound import cli
+
+        out = tmp_path / "path.csv"
+        argv = ["simulate", "--model", "binomial-hmm", "--gamma1", "0.7", "--gamma2", "0.6"]
+        assert cli.main(argv + ["-n", "20000", "--seed", "54", "--out", str(out)]) == 0
+        got = np.loadtxt(out, dtype=np.int64, skiprows=1)
+        model = TwoStateHmm(0.7, 0.6, BinomialEmission(10, 0.2, 0.8))
+        assert np.array_equal(got, simulate(model, 20000, seed=54).values)
+
+
 class TestEmpiricalCovariance:
     def test_constant_path(self):
         path = SamplePath(PoissonModel(1.0), 0, np.full(10**5, 7, dtype=np.int64))

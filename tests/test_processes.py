@@ -80,6 +80,29 @@ class TestPoisson:
         with pytest.raises(DomainError):
             PoissonModel(0.0)
 
+    @pytest.mark.parametrize("lam", [99.0, 100.0, 1e3, 1e4, 1e6, 1e9])
+    def test_large_rate_against_high_precision_sum(self, lam):
+        # 99 and 100 sit on either side of the switch to the asymptotic expansion
+        import mpmath
+
+        def minus_p_log_p(k):
+            log_p = k * log_rate - rate - mpmath.loggamma(k + 1)
+            return -mpmath.exp(log_p) * log_p
+
+        with mpmath.workdps(30):
+            rate = mpmath.mpf(lam)
+            log_rate = mpmath.log(rate)
+            sd = mpmath.sqrt(rate)  # beyond 12 sd the mass is below 1e-20
+            if lam <= 1e6:
+                lo, hi = max(0, int(rate - 12 * sd)), int(rate + 12 * sd)
+                expected = mpmath.fsum(minus_p_log_p(k) for k in range(lo, hi + 1))
+            else:
+                # 8e5 terms are too slow here.  The summand is smooth on the
+                # scale sqrt(rate), so by Poisson summation the sum equals the
+                # integral of its continuation to within exp(-2 pi^2 rate).
+                expected = mpmath.quad(minus_p_log_p, [rate + i * sd for i in range(-12, 13)])
+        assert poisson_entropy(PoissonModel(lam)) == pytest.approx(float(expected), abs=1e-10)
+
 
 class TestDma:
     def test_iid_case(self):
