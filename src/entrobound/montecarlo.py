@@ -65,6 +65,8 @@ def _two_state_chain(rng: np.random.Generator, g1: float, g2: float, n: int) -> 
     drawn in blocks of the expected count plus at least four standard
     deviations, so a second block is rare; each block is capped by the pairs
     that can still be used, so at most n + 2 lengths are drawn in all.
+    Each length is clipped to n, which the path cuts it to anyway: for tiny
+    gammas the raw draws reach 2**63 - 1 and their sums would wrap around.
     """
     r = g1 + g2
     x0 = 1 if rng.random() < g1 / r else 0
@@ -75,7 +77,8 @@ def _two_state_chain(rng: np.random.Generator, g1: float, g2: float, n: int) -> 
     total = 0
     while total < n:
         m = min(block, (n - total) // 2 + 1)
-        pairs = np.column_stack((rng.geometric(first, m), rng.geometric(second, m)))
+        draws = (rng.geometric(first, m), rng.geometric(second, m))
+        pairs = np.minimum(np.column_stack(draws), n)
         parts.append(pairs.ravel())
         total += int(parts[-1].sum())
     lengths = np.diff(np.minimum(np.cumsum(np.concatenate(parts)), n), prepend=0)

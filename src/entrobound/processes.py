@@ -418,7 +418,8 @@ def poisson_entropy(model: PoissonModel, tol: float = 1e-12) -> float:
 
     Below rate 100: rate*(1 - log rate) + e^{-rate} * sum_k rate^k log(k!) / k!,
     with the series truncated once a geometric tail bound falls below ``tol``.
-    From rate 100 on: the asymptotic expansion, accurate to 1e-13.
+    From rate 100 on: the asymptotic expansion, accurate to 1e-13; ``tol``
+    has no effect there.
     """
     if not tol > 0:
         raise DomainError("tol must be positive")

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from entrobound.montecarlo import (
     EstimateWithError,
     SamplePath,
+    _two_state_chain,
     empirical_conditional_entropy,
     empirical_covariance,
     simulate,
@@ -127,7 +129,16 @@ class TestTwoStateSampler:
         assert abs(firsts.mean() - p) <= 4 * math.sqrt(p * (1 - p) / 4000)
 
     @pytest.mark.parametrize(
-        "g1,g2", [(1e-4, 0.9999), (0.9999, 1e-4), (1e-4, 1e-4), (0.9999, 0.9999)]
+        "g1,g2",
+        [
+            (1e-4, 0.9999),
+            (0.9999, 1e-4),
+            (1e-4, 1e-4),
+            (0.9999, 0.9999),
+            # raw geometric draws reach 2**63 - 1 here; unclipped sums would wrap
+            (1e-20, 0.5),
+            (1e-300, 1e-300),
+        ],
     )
     @pytest.mark.parametrize("n", [1, 10, 10**5])
     def test_exact_length_at_extreme_gammas(self, g1, g2, n):
@@ -137,10 +148,18 @@ class TestTwoStateSampler:
             assert set(np.unique(x)) <= {0, 1}
 
     def test_short_first_block(self):
-        # at this seed the first block of sojourns covers fewer than n steps,
-        # so the sampler draws a second block
-        x = _states(1e-4, 0.9999, 10**5, 2514)
-        assert len(x) == 10**5
+        # at this seed the first block of sojourns covers fewer than n steps;
+        # counting the draws asserts that the second-block loop really runs
+        rng = np.random.default_rng(2514)
+        sizes = []
+
+        def geometric(p, size):
+            sizes.append(size)
+            return rng.geometric(p, size)
+
+        counting = SimpleNamespace(random=rng.random, geometric=geometric)
+        x = _two_state_chain(counting, 1e-4, 0.9999, 10**5)
+        assert len(sizes) == 4  # two blocks, each one call per state
         assert np.array_equal(x, _states(1e-4, 0.9999, 10**5, 2514))
 
     def test_cli_matches_in_process(self, tmp_path):
