@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,6 +39,14 @@ class SamplePath:
     @property
     def length(self) -> int:
         return len(self.values)
+
+    @cached_property
+    def centered(self) -> np.ndarray:
+        """The values as floats minus their mean; computed once, read-only."""
+        y = self.values.astype(float)
+        y -= y.mean()
+        y.flags.writeable = False
+        return y
 
 
 @dataclass(frozen=True)
@@ -148,8 +157,7 @@ def empirical_covariance(path: SamplePath, k: int) -> EstimateWithError:
         raise DomainError("lag must be non-negative")
     if k >= path.length / 10:
         raise DomainError("lag must be below one tenth of the path length")
-    y = path.values.astype(float)
-    y -= y.mean()
+    y = path.centered
     products = y[k:] * y[: len(y) - k]
     return EstimateWithError(
         value=float(products.mean()),

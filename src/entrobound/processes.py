@@ -27,8 +27,6 @@ from .numerics import (
     ConvergenceError,
     DomainError,
     QuadratureSpec,
-    SeriesSpec,
-    bilateral_sum,
     integrate_gaussian_weighted,
 )
 from .spectrum import CovarianceSequence, SpectralDensity
@@ -177,24 +175,43 @@ def quantize(s: float) -> int:
     return int(math.ceil(s - 0.5))
 
 
+def _cell_probs(z: np.ndarray) -> np.ndarray:
+    """P(N(0, 1) in [z[..., k], z[..., k+1])) for increasing edges z.
+
+    One erfc per edge: q = erfc(|z|/sqrt2) is the two-sided tail beyond |z|,
+    so a cell on one side of 0 is half the difference of its edges' q and
+    the one cell that straddles 0 is 1 - (q_lo + q_hi)/2.  Far-tail cells
+    keep full relative accuracy instead of cancelling to roundoff.
+    """
+    q = special.erfc(np.abs(z) / SQRT2)
+    q_lo, q_hi = q[..., :-1], q[..., 1:]
+    p = 0.5 * np.abs(q_lo - q_hi)
+    straddle = (z[..., :-1] < 0.0) & (z[..., 1:] > 0.0)
+    p[straddle] = 1.0 - 0.5 * (q_lo[straddle] + q_hi[straddle])
+    return p
+
+
 def _interval_probs(idx: np.ndarray, mu: np.ndarray, sd: float) -> np.ndarray:
     """P(N(mu, sd^2) in [i-1/2, i+1/2)) for mu (rows) x idx (columns).
 
-    Uses the erfc tail on whichever side is smaller, so far-tail cells keep
-    full relative accuracy instead of cancelling to roundoff.
+    ``idx`` must be consecutive integers, so that neighbouring cells share
+    an edge and each edge costs one erfc (see :func:`_cell_probs`).
     """
     mu = np.asarray(mu, dtype=float)
     if sd == 0.0:
         return (idx[None, :] == np.ceil(mu[:, None] - 0.5)).astype(float)
-    lo = (idx[None, :] - 0.5 - mu[:, None]) / sd
-    hi = lo + 1.0 / sd
-    pos = (lo + hi) >= 0.0
-    x1 = np.where(pos, lo, -hi)
-    x2 = np.where(pos, hi, -lo)
-    return 0.5 * (special.erfc(x1 / SQRT2) - special.erfc(x2 / SQRT2))
+    edges = idx[0] - 0.5 + np.arange(len(idx) + 1)
+    return _cell_probs((edges[None, :] - mu[:, None]) / sd)
 
 
 _CHUNK = 8192
+# elements per erfc block: rows of a block are capped so that no block grows
+# with the number of columns; the paper grids (<= 229 columns) keep _CHUNK rows
+_BLOCK_ELEMENTS = 2**21
+
+
+def _chunk_rows(ncols: int) -> int:
+    return max(1, min(_CHUNK, _BLOCK_ELEMENTS // ncols))
 
 
 def _tail_halfwidth(sd: float, rel_tol: float) -> int:
@@ -204,42 +221,43 @@ def _tail_halfwidth(sd: float, rel_tol: float) -> int:
 def _quantizer_mean(mu: np.ndarray, sd: float, rel_tol: float = 1e-12) -> np.ndarray:
     """E[Q(Z)] for Z ~ N(mu, sd^2), vectorized over mu.
 
-    The integer sum is truncated to a window of half-width ~sd*sqrt(-2 log tol)
-    around round(mu); the neglected mass is below rel_tol.
+    Summation by parts around c = round(mu), with d = mu - c in [-1/2, 1/2]:
+
+        E[Q(Z)] = c + 1/2 sum_{j>=1} [erfc((j - 1/2 - d) / (sqrt2 sd))
+                                      - erfc((j - 1/2 + d) / (sqrt2 sd))],
+
+    where every erfc argument is non-negative.  The sum stops after
+    ~sd*sqrt(-2 log tol) terms; the neglected mass is below rel_tol.
     """
     mu = np.asarray(mu, dtype=float)
     if sd == 0.0:
         return np.ceil(mu - 0.5)
-    h = _tail_halfwidth(sd, rel_tol)
-    offsets = np.arange(-h, h + 1, dtype=float)
-    chunk = max(1, min(_CHUNK, (2 * _CHUNK * _CHUNK) // len(offsets)))
+    half = np.arange(_tail_halfwidth(sd, rel_tol)) + 0.5  # j - 1/2, j >= 1
+    inv = 1.0 / (SQRT2 * sd)
+    c = np.rint(mu)
+    d = (mu - c)[:, None]
+    chunk = _chunk_rows(len(half))
     out = np.empty_like(mu)
     for start in range(0, len(mu), chunk):
-        m = mu[start : start + chunk]
-        centers = np.rint(m)[:, None] + offsets[None, :]
-        lo = (centers - 0.5 - m[:, None]) / sd
-        hi = lo + 1.0 / sd
-        pos = (lo + hi) >= 0.0
-        x1 = np.where(pos, lo, -hi)
-        x2 = np.where(pos, hi, -lo)
-        p = 0.5 * (special.erfc(x1 / SQRT2) - special.erfc(x2 / SQRT2))
-        out[start : start + chunk] = (centers * p).sum(axis=1)
+        dc = d[start : start + chunk]
+        diff = special.erfc((half - dc) * inv) - special.erfc((half + dc) * inv)
+        out[start : start + chunk] = c[start : start + chunk] + 0.5 * diff.sum(axis=1)
     return out
 
 
-def _quantized_second_moment(scale: float, series: SeriesSpec | None = None) -> float:
-    """E[Q(Z)^2] for Z ~ N(0, scale^2), as an adaptive bilateral series."""
+def _quantized_second_moment(scale: float) -> float:
+    """E[Q(Z)^2] for Z ~ N(0, scale^2), in closed form:
+
+        E[Q(Z)^2] = sum_{j>=1} (2j - 1) erfc((j - 1/2) / (sqrt2 scale)),
+
+    summation by parts of the symmetric cell masses, truncated where the
+    neglected terms fall below 1e-12 of the sum.
+    """
     if scale <= 0.0:
         return 0.0
-
-    def term(k: int) -> float:
-        if k == 0:
-            return 0.0
-        lo = (abs(k) - 0.5) / scale
-        hi = (abs(k) + 0.5) / scale
-        return k * k * 0.5 * (math.erfc(lo / SQRT2) - math.erfc(hi / SQRT2))
-
-    return bilateral_sum(term, series)
+    j = np.arange(1, _tail_halfwidth(scale, 1e-12) + 1)
+    terms = (2 * j - 1) * special.erfc((j - 0.5) / (SQRT2 * scale))
+    return float(terms.sum())
 
 
 def _cell_grid(weight_sigma: float, slope: float, nodes_per_cell: int):
@@ -315,8 +333,13 @@ def _quantized_lag_covariance(
     return integrate_gaussian_weighted(g, weight_sigma, quad)
 
 
+def _box_halfwidth(scale: float) -> int:
+    """Half-width of the index box |i| <= 10*scale + 2 holding a pmf of scale."""
+    return int(math.ceil(10.0 * scale)) + 2
+
+
 def _marginal_pmf(scale: float) -> tuple[np.ndarray, np.ndarray]:
-    box = int(math.ceil(10.0 * scale)) + 2
+    box = _box_halfwidth(scale)
     idx = np.arange(-box, box + 1)
     p = _interval_probs(idx, np.zeros(1), scale)[0]
     return idx, p
@@ -325,6 +348,12 @@ def _marginal_pmf(scale: float) -> tuple[np.ndarray, np.ndarray]:
 def _pmf_entropy(p: np.ndarray) -> float:
     p = p[p > 0]
     return float(-(p * np.log(p)).sum())
+
+
+# Largest joint table _pair_conditional_entropy builds: 2**22 cells (32 MiB).
+# The entropy step holds a few tables of this size at once.  The limit is
+# reached near a marginal scale of 102 (sigma ~ 45 for the MA at theta = 2).
+MAX_JOINT_CELLS = 2**22
 
 
 def _pair_conditional_entropy(
@@ -344,54 +373,80 @@ def _pair_conditional_entropy(
     joint pmf is accumulated on a truncated index box (|i| <= 10*scale + 2)
     over an s-grid that doubles until the entropy moves less than ``tol`` and
     the captured joint mass is within ``mass_tol`` of one.
+
+    On the trapezoid grid every s-node is evaluated once: each doubling adds
+    only the new midpoints to a running sum.  When A is degenerate (sd_a = 0)
+    the grid is Gauss-Legendre on the jump cells of Q(slope_a*s); those nodes
+    do not nest, so each level is built afresh.  Erfc blocks are capped at
+    a fixed element count, and a joint table of more than MAX_JOINT_CELLS
+    cells raises DomainError before anything is allocated.
     """
     quad = quad or QuadratureSpec()
+    box = _box_halfwidth(marginal_scale)
+    if (2 * box + 1) ** 2 > MAX_JOINT_CELLS:
+        raise DomainError(
+            f"the conditional-entropy joint table would have {(2 * box + 1) ** 2} "
+            f"cells (marginal scale {marginal_scale:.6g}), over the limit of "
+            f"{MAX_JOINT_CELLS}"
+        )
     idx, p_y = _marginal_pmf(marginal_scale)
+    shape = (len(idx), len(idx))
+    chunk = _chunk_rows(len(idx) + 1)
     a, b = -8.0 * weight_sigma, 8.0 * weight_sigma
     norm = 1.0 / (weight_sigma * math.sqrt(2.0 * math.pi))
 
-    def nodes_weights(level: int):
-        if sd_a == 0.0:
-            # the conditioning kernel is a bare staircase: use quadrature
-            # nodes aligned to its jump cells (level = nodes per cell)
-            return _cell_grid(weight_sigma, slope_a, max(level // 64, 4))
-        s = np.linspace(a, b, level + 1)
-        w = np.full(level + 1, (b - a) / level)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        w = w * norm * np.exp(-0.5 * (s / weight_sigma) ** 2)
-        return s, w
-
-    def joint(level: int) -> np.ndarray:
-        s, w = nodes_weights(level)
-        p = np.zeros((len(idx), len(idx)))
-        for start in range(0, len(s), _CHUNK):
-            sc = s[start : start + _CHUNK]
-            wc = w[start : start + _CHUNK]
+    def accumulate(p: np.ndarray, s: np.ndarray, w: np.ndarray) -> np.ndarray:
+        # add the sum over nodes of w(s) * outer(P(Y_a = i | s), P(Y_b = j | s))
+        for start in range(0, len(s), chunk):
+            sc = s[start : start + chunk]
+            wc = w[start : start + chunk]
             rows = _interval_probs(idx, slope_a * sc, sd_a)
             cols = _interval_probs(idx, slope_b * sc, sd_b)
             p += rows.T @ (wc[:, None] * cols)
         return p
 
+    def density(s: np.ndarray) -> np.ndarray:
+        return norm * np.exp(-0.5 * (s / weight_sigma) ** 2)
+
+    def joint_tables():
+        """Yield (panels, joint table) for panels = 256, 512, 1024, ..."""
+        panels = 256
+        if sd_a == 0.0:
+            # the conditioning kernel is a bare staircase: use quadrature
+            # nodes aligned to its jump cells (panels // 64 nodes per cell)
+            while True:
+                s, w = _cell_grid(weight_sigma, slope_a, max(panels // 64, 4))
+                yield panels, accumulate(np.zeros(shape), s, w)
+                panels *= 2
+        s = np.linspace(a, b, panels + 1)
+        w = density(s)
+        w[0] *= 0.5
+        w[-1] *= 0.5
+        unscaled = accumulate(np.zeros(shape), s, w)  # without the panel width
+        while True:
+            yield panels, unscaled * ((b - a) / panels)
+            s = a + (b - a) * (np.arange(panels) + 0.5) / panels
+            accumulate(unscaled, s, density(s))
+            panels *= 2
+
     def entropy_of(p: np.ndarray) -> tuple[float, float]:
         total = float(p.sum())
-        pn = np.clip(p, 0.0, None) / total
-        mask = pn > 0.0
-        h_joint = float(-(pn[mask] * np.log(pn[mask])).sum())
+        pn = np.clip(p, 0.0, None)
+        pn /= total
         rows = pn.sum(axis=1)
+        pn = pn[pn > 0.0]
+        h_joint = float(-(pn * np.log(pn)).sum())
         h = h_joint + float((rows * np.log(np.maximum(p_y, 1e-300))).sum())
         return h, total
 
-    panels = 256
-    h_prev, _ = entropy_of(joint(panels))
+    tables = joint_tables()
+    panels, p = next(tables)
+    h_prev, _ = entropy_of(p)
     while panels < quad.max_points:
-        panels *= 2
-        h, total = entropy_of(joint(panels))
-        if abs(h - h_prev) < tol:
-            if abs(total - 1.0) < mass_tol:
-                return h
-            if panels >= quad.max_points:
-                break
+        panels, p = next(tables)
+        h, total = entropy_of(p)
+        if abs(h - h_prev) < tol and abs(total - 1.0) < mass_tol:
+            return h
         h_prev = h
     raise ConvergenceError(
         "joint mass deficit persists; the truncated index box is likely too "

@@ -29,15 +29,14 @@ def random_ma_covariance(rng: np.random.Generator, max_lags: int = 4, lags: int 
     return CovarianceSequence(tuple(values))
 
 
-def qma_rectangle_conditional_entropy(sigma: float, theta: float) -> float:
-    """H(Y_{n+1} | Y_n) of the quantized MA(1) from exact rectangle probabilities.
+def rectangle_conditional_entropy(sd: float, rho: float) -> float:
+    """H(Y_1 | Y_0) for Y = Q(U), (U_0, U_1) bivariate normal from exact rectangles.
 
-    An oracle independent of the library's s-grid quadrature.  The pair
-    (X_n, X_{n+1}) is bivariate normal with variance R0 = sigma^2 (1 + theta^2)
-    and correlation rho = theta / (1 + theta^2), and Y = Q(X) puts each integer
-    i on the cell (i - 1/2, i + 1/2).  Cell probabilities are four-corner
-    differences of the bivariate normal CDF, written with Owen's T function
-    (Owen 1956, Ann. Math. Statist. 27:1075):
+    An oracle independent of the library's s-grid quadrature.  U_0 and U_1
+    have mean 0, standard deviation ``sd`` and correlation ``rho``, and
+    Y = Q(U) puts each integer i on the cell (i - 1/2, i + 1/2).  Cell
+    probabilities are four-corner differences of the bivariate normal CDF,
+    written with Owen's T function (Owen 1956, Ann. Math. Statist. 27:1075):
 
         Phi2(h, k; rho) = Phi(h)/2 + Phi(k)/2 - T(h, a_h) - T(k, a_k) - beta,
         a_h = (k - rho h) / (h sqrt(1 - rho^2)), beta = 1/2 if h k < 0 else 0.
@@ -47,8 +46,6 @@ def qma_rectangle_conditional_entropy(sigma: float, theta: float) -> float:
     """
     from scipy.special import ndtr, owens_t
 
-    sd = sigma * math.sqrt(1.0 + theta * theta)
-    rho = theta / (1.0 + theta * theta)
     bound = math.ceil(14.0 * sd) + 2
     h = (np.arange(-bound, bound + 2) - 0.5) / sd
     x, y = np.meshgrid(h, h, indexing="ij")
@@ -71,6 +68,28 @@ def qma_rectangle_conditional_entropy(sigma: float, theta: float) -> float:
         return float(-np.sum(p * np.log(p)))
 
     return entropy(joint.ravel()) - entropy(marginal)
+
+
+def qma_rectangle_conditional_entropy(sigma: float, theta: float) -> float:
+    """H(Y_{n+1} | Y_n) of the quantized MA(1) from exact rectangle probabilities.
+
+    (X_n, X_{n+1}) has variance sigma^2 (1 + theta^2) and correlation
+    theta / (1 + theta^2).
+    """
+    sd = sigma * math.sqrt(1.0 + theta * theta)
+    return rectangle_conditional_entropy(sd, theta / (1.0 + theta * theta))
+
+
+def qar_rectangle_conditional_entropy(sigma: float, phi: float, nu: float) -> float:
+    """H(Y_1 | Y_0) of the quantized-hidden AR(1) from exact rectangle probabilities.
+
+    U_n = X_n + V_n has variance sigma0^2 + nu^2, with sigma0^2 the stationary
+    AR variance sigma^2 / (1 - phi^2), and lag-1 correlation
+    phi sigma0^2 / (sigma0^2 + nu^2).
+    """
+    var0 = sigma * sigma / (1.0 - phi * phi)
+    var = var0 + nu * nu
+    return rectangle_conditional_entropy(math.sqrt(var), phi * var0 / var)
 
 
 @pytest.fixture

@@ -187,6 +187,22 @@ class TestEmpiricalCovariance:
         assert abs(lag0.value - 1.0) <= 4 * lag0.std_error + 1e-6
         assert abs(lag1.value) <= 4 * lag1.std_error
 
+    def test_centered_once_matches_per_call_formula(self):
+        # the cached centred path gives bit-identical values and standard
+        # errors to converting and centring the path afresh for each lag
+        path = simulate(TwoStateHmm(0.1, 0.3, PoissonEmission(2.0, 9.0)), 10**5, seed=5)
+        for k in range(4):
+            y = path.values.astype(float)
+            y -= y.mean()
+            products = y[k:] * y[: len(y) - k]
+            width = len(products) // 64
+            batches = products[: 64 * width].reshape(64, width).mean(axis=1)
+            est = empirical_covariance(path, k)
+            assert est.value == float(products.mean())
+            assert est.std_error == float(batches.std(ddof=1) / 8.0)
+        assert path.centered is path.centered
+        assert not path.centered.flags.writeable
+
     def test_lag_bound(self):
         path = SamplePath(PoissonModel(1.0), 0, np.zeros(100, dtype=np.int64))
         with pytest.raises(DomainError):

@@ -33,11 +33,16 @@ from entrobound.processes import (
     qma_th3_bound,
     quantize,
 )
-from conftest import load_reference, qma_rectangle_conditional_entropy
+from conftest import (
+    load_reference,
+    qar_rectangle_conditional_entropy,
+    qma_rectangle_conditional_entropy,
+)
 
 # the theta grid of fig3, and its (sigma, theta) points whose frozen H_CE
 # reference entries were corrected from the rectangle oracle
 FIG3_THETAS = [i / 10 for i in range(21)]
+FIG4_PHIS = [round(0.7 + 0.02 * i, 2) for i in range(15)]
 FIG3_CORRECTED = [(1.0, t) for t in (1.7, 1.8, 1.9, 2.0)] + [
     (5.0, t) for t in (1.4, 1.5, 1.6, 1.7, 1.8, 1.9, 2.0)
 ]
@@ -346,6 +351,49 @@ class TestQuantizedMaConditionalEntropy:
             assert qma_conditional_entropy(m) <= _pmf_entropy(p) + 1e-9
 
 
+class TestConditionalEntropyMemory:
+    def test_joint_table_limit_raises_before_allocating(self):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="joint table"):
+                qma_conditional_entropy(QuantizedMaModel(200.0, 2.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20  # the 8951 x 8951 table alone would take 640 MB
+
+    def test_fig3_cli_rejects_oversized_table(self, tmp_path, capsys):
+        from entrobound import cli
+
+        out = tmp_path / "fig3.csv"
+        assert cli.main(["fig3", "--sigma", "200", "--out", str(out)]) == 2
+        assert "joint table" in capsys.readouterr().err
+
+    def test_large_sigma_value(self):
+        # a 1347 x 1347 joint table, inside the limit
+        h = qma_conditional_entropy(QuantizedMaModel(30.0, 2.0))
+        assert h == pytest.approx(5.5376909639, abs=1e-10)
+
+    def test_erfc_blocks_capped(self, monkeypatch):
+        # nu = 0 at sigma0 = 45.9: the cell grid has thousands of nodes a
+        # level and the index box 923 columns, so chunks shrink below _CHUNK
+        from entrobound import processes
+
+        blocks = []
+        inner = processes._interval_probs
+
+        def recording(idx, mu, sd):
+            blocks.append(np.size(mu) * (len(idx) + 1))
+            return inner(idx, mu, sd)
+
+        monkeypatch.setattr(processes, "_interval_probs", recording)
+        h = processes.qar_conditional_entropy.__wrapped__(QuantizedArModel(20.0, 0.9, 0.0))
+        assert max(blocks) <= processes._BLOCK_ELEMENTS < processes._CHUNK * 924
+        assert h == pytest.approx(qar_rectangle_conditional_entropy(20.0, 0.9, 0.0), abs=1e-9)
+
+
 class TestQuantizedArStatistics:
     def test_degenerate_scale(self):
         assert qar_r0(QuantizedArModel(1e-3, 0.0, 0.0)) == pytest.approx(0.0, abs=1e-12)
@@ -407,6 +455,18 @@ class TestQuantizedArConditionalEntropy:
             expected, abs=5e-3
         )
 
+    @pytest.mark.parametrize("nu", [4.0, 0.5, 0.0])
+    def test_against_rectangle_oracle(self, nu):
+        # exact bivariate-normal cell probabilities at every fig4 grid point;
+        # nu = 0 takes the cell-grid branch (a bare staircase in Y_0)
+        off = {}
+        for phi in FIG4_PHIS:
+            h = qar_conditional_entropy(QuantizedArModel(1.0, phi, nu))
+            gap = h - qar_rectangle_conditional_entropy(1.0, phi, nu)
+            if abs(gap) >= 1e-9:
+                off[phi] = gap
+        assert not off
+
     def test_phi_zero_is_marginal_entropy(self):
         from entrobound.processes import _marginal_pmf, _pmf_entropy
 
@@ -466,6 +526,71 @@ class TestKernelOracles:
             (idx[None, :] - 0.5 - mu[:, None]) / sd
         )
         assert np.max(np.abs(ours - ref)) < 1e-14
+
+    @pytest.mark.parametrize("scale", [0.05, 0.2, 0.5, 1.0, 3.7, 10.0, 25.0, 60.0])
+    def test_quantized_second_moment_against_mpmath(self, scale):
+        # direct sum of k^2 P(Q = k) over both tails, in 40-digit arithmetic
+        import mpmath
+
+        from entrobound.processes import _quantized_second_moment
+
+        with mpmath.workdps(40):
+            s = mpmath.sqrt(2) * mpmath.mpf(scale)
+            direct = sum(
+                k * k * (mpmath.erfc((k - 0.5) / s) - mpmath.erfc((k + 0.5) / s))
+                for k in range(1, int(14 * scale) + 3)
+            )
+        assert _quantized_second_moment(scale) == pytest.approx(float(direct), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("sd,mu", [(1.0, 0.0), (0.5, 0.3), (1.7, -2.4)])
+    def test_interval_probs_far_tail_relative(self, sd, mu):
+        # cells 20-35 sd out on both sides keep full relative accuracy
+        import mpmath
+
+        from entrobound.processes import _interval_probs
+
+        reach = int(36 * sd) + 3
+        idx = np.arange(-reach, reach + 1)
+        ours = _interval_probs(idx, np.array([mu]), sd)[0]
+        checked = 0
+        with mpmath.workdps(40):
+            for i, p in zip(idx, ours):
+                lo = (mpmath.mpf(int(i)) - 0.5 - mu) / sd
+                hi = lo + 1 / mpmath.mpf(sd)
+                near = min(abs(lo), abs(hi))
+                if lo * hi <= 0 or not 20 <= near <= 35:
+                    continue
+                lo, hi = (lo, hi) if lo > 0 else (-hi, -lo)
+                ref = (mpmath.erfc(lo / mpmath.sqrt(2)) - mpmath.erfc(hi / mpmath.sqrt(2))) / 2
+                assert p == pytest.approx(float(ref), rel=1e-12, abs=0.0), i
+                checked += 1
+        assert checked >= 2 * int(15 * sd)
+
+    def test_trapezoid_evaluates_each_node_once(self, monkeypatch):
+        # each doubling adds only the midpoints: final level + 1 nodes in all
+        from entrobound import processes
+
+        nodes = []
+        inner = processes._interval_probs
+
+        def recording(idx, mu, sd):
+            if sd == 0.5:  # the rows of Y_a, whose sd_a is 0.5 below
+                nodes.append(np.array(mu, dtype=float))
+            return inner(idx, mu, sd)
+
+        monkeypatch.setattr(processes, "_interval_probs", recording)
+        processes._pair_conditional_entropy(
+            weight_sigma=1.0,
+            slope_a=1.0,
+            sd_a=0.5,
+            slope_b=0.5,
+            sd_b=1.0,
+            marginal_scale=math.hypot(1.0, 0.5),
+        )
+        s = np.concatenate(nodes)
+        panels = len(s) - 1
+        assert panels >= 512 and panels & (panels - 1) == 0
+        assert len(np.unique(s)) == len(s)
 
     def test_small_sigma_ma_against_simulation(self):
         # severe-quantization regime: most mass collapses onto few integers
