@@ -21,10 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import (
+    ABS_TOL,
+    MAX_POINTS,
     TWO_PI,
     ConvergenceError,
     DomainError,
-    QuadratureSpec,
     integrate_periodic_full,
 )
 from .spectrum import CovarianceSequence, SpectralDensity, levinson_durbin
@@ -58,19 +59,6 @@ class BoundResult:
     duality_gap: float = 0.0
 
 
-@dataclass(frozen=True)
-class BetaVector:
-    """Reference-family coefficients [beta_1, ..., beta_k], sum|beta_m| < 1."""
-
-    components: tuple
-
-    def __post_init__(self):
-        comps = tuple(float(b) for b in self.components)
-        object.__setattr__(self, "components", comps)
-        if sum(abs(b) for b in comps) >= 1.0:
-            raise DomainError("beta must satisfy sum of |beta_m| < 1")
-
-
 def univariate_me_bound(variance: float) -> float:
     """1/2 log(2*pi*e*(variance + 1/12)), the single-sample bound."""
     if not variance >= 0:
@@ -82,9 +70,7 @@ class _PsdZero(Exception):
     pass
 
 
-def gaussian_entropy_rate(
-    psd: SpectralDensity, quad: QuadratureSpec | None = None
-) -> float:
+def gaussian_entropy_rate(psd: SpectralDensity) -> float:
     """Exact differential entropy rate of the Gaussian process with this PSD.
 
     1/2 log(2*pi*e) + (1/4pi) Int_0^{2pi} log Phi(lambda) d lambda.  Returns
@@ -99,15 +85,13 @@ def gaussian_entropy_rate(
         return np.log(vals)
 
     try:
-        q = integrate_periodic_full(integrand, quad)
+        q = integrate_periodic_full(integrand)
     except _PsdZero:
         return -math.inf
     return 0.5 * LOG_2PI_E + q.value / (2.0 * TWO_PI)
 
 
-def gaussian_psd_bound(
-    psd: SpectralDensity, quad: QuadratureSpec | None = None
-) -> BoundResult:
+def gaussian_psd_bound(psd: SpectralDensity) -> BoundResult:
     """Entropy-rate bound from the spectral density.
 
     1/2 log(2*pi*e) + (1/4pi) Int log(Phi(lambda) + 1/12); always finite
@@ -117,7 +101,7 @@ def gaussian_psd_bound(
     def integrand(lam):
         return np.log(np.asarray(psd(lam), dtype=float) + 1.0 / 12.0)
 
-    q = integrate_periodic_full(integrand, quad)
+    q = integrate_periodic_full(integrand)
     return BoundResult(
         value=0.5 * LOG_2PI_E + q.value / (2.0 * TWO_PI),
         argmin=None,
@@ -231,7 +215,7 @@ def _dual_bound(a: np.ndarray, beta: np.ndarray, table: np.ndarray, limit: float
     return 0.5 * (LOG_2PI_E + math.log(err))
 
 
-def tdist_bound_k(cov: CovarianceSequence, quad: QuadratureSpec | None = None) -> BoundResult:
+def tdist_bound_k(cov: CovarianceSequence) -> BoundResult:
     """Order-k bound from the covariances [R(0), ..., R(k)].
 
     Minimizes 1/2 log(2*pi*e*Sigma(beta)) - (1/4pi) Int log Psi(beta, lambda)
@@ -247,10 +231,9 @@ def tdist_bound_k(cov: CovarianceSequence, quad: QuadratureSpec | None = None) -
     Otherwise the minimum lies on the region's boundary; the problem is convex
     in the precision coordinates p = (1, beta) / Sigma(beta) and is solved by
     a damped-Newton barrier method, doubling the quadrature nodes until the
-    value and the duality gap settle.  ``duality_gap`` certifies how far the
-    value can be above the true infimum.
+    value and the duality gap settle to within ``numerics.ABS_TOL``.
+    ``duality_gap`` certifies how far the value can be above the true infimum.
     """
-    quad = quad or QuadratureSpec()
     k = cov.k
     a = np.asarray(cov.values, dtype=float)
     if k == 0:
@@ -272,7 +255,7 @@ def tdist_bound_k(cov: CovarianceSequence, quad: QuadratureSpec | None = None) -
     estimates = ()
     n = 256
     table = _cosine_table(k, n)
-    while 2 * n <= quad.max_points:
+    while 2 * n <= MAX_POINTS:
         finer = _cosine_table(k, 2 * n)
         x, used = _central_path(a, table, limit)
         steps += used
@@ -284,7 +267,7 @@ def tdist_bound_k(cov: CovarianceSequence, quad: QuadratureSpec | None = None) -
         gap = value - _dual_bound(a, path_beta, table, limit)
         gap2 = value2 - _dual_bound(a, path_beta, finer, limit)
         estimates = (value, value2)
-        if abs(value2 - value) < 0.5 * quad.abs_tol and abs(gap2 - gap) < quad.abs_tol:
+        if abs(value2 - value) < 0.5 * ABS_TOL and abs(gap2 - gap) < ABS_TOL:
             return BoundResult(
                 value=value2,
                 argmin=[float(b) for b in beta],
@@ -294,6 +277,6 @@ def tdist_bound_k(cov: CovarianceSequence, quad: QuadratureSpec | None = None) -
             )
         n, table = 2 * n, finer
     raise ConvergenceError(
-        f"order-k bound quadrature did not settle within {quad.max_points} nodes",
+        f"order-k bound quadrature did not settle within {MAX_POINTS} nodes",
         estimates=estimates,
     )

@@ -26,6 +26,9 @@ from .processes import (
 )
 
 N_BATCHES = 64
+# Longest path simulate draws: 10**8 int64 values are 800 MB before any
+# float temporaries, so longer requests raise DomainError before allocating.
+MAX_PATH_LENGTH = 10**8
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,10 +103,12 @@ def simulate(model: ProcessModel, n: int, seed: int) -> SamplePath:
     DMA innovations are Poisson(innovation_variance): integer-valued with
     exactly the requested variance (the mean offset does not enter any
     covariance).  The AR chain starts from its stationary law; MA/DMA get
-    the needed pre-samples as burn-in.
+    the needed pre-samples as burn-in.  n must lie in [1, MAX_PATH_LENGTH].
     """
     if n < 1:
         raise DomainError("path length must be >= 1")
+    if n > MAX_PATH_LENGTH:
+        raise DomainError(f"path length {n} exceeds the limit of {MAX_PATH_LENGTH}")
     rng = np.random.default_rng(seed)
 
     if isinstance(model, PoissonModel):

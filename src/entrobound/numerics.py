@@ -1,4 +1,4 @@
-"""Shared numerical kernels: special functions, 1-D quadrature, series summation.
+"""Shared numerical kernels: special functions and 1-D quadrature.
 
 Everything here is a pure function of its inputs and safe to call from
 multiple threads.  All computation is in 64-bit floating point.
@@ -7,15 +7,19 @@ multiple threads.  All computation is in 64-bit floating point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy import special
 
 TWO_PI = 2.0 * math.pi
 SQRT2 = math.sqrt(2.0)
+
+# Node budget and tolerance of the adaptive quadratures below, shared by the
+# node doublings in ``bounds`` and ``processes``: a doubling stops once two
+# successive estimates differ by less than ABS_TOL, and gives up with
+# ConvergenceError beyond MAX_POINTS nodes.
+MAX_POINTS = 2**21
+ABS_TOL = 1e-9
 
 
 class DomainError(ValueError):
@@ -31,41 +35,6 @@ class ConvergenceError(RuntimeError):
     def __init__(self, message: str, estimates: tuple = ()):
         super().__init__(message)
         self.estimates = tuple(estimates)
-
-
-class QuadratureMethod(Enum):
-    PERIODIC_TRAPEZOID = "periodic_trapezoid"
-    GAUSS_LEGENDRE = "gauss_legendre"
-    GAUSSIAN_WEIGHTED = "gaussian_weighted"
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Node budget and tolerance for the adaptive quadratures below."""
-
-    method: QuadratureMethod = QuadratureMethod.PERIODIC_TRAPEZOID
-    max_points: int = 2**21
-    abs_tol: float = 1e-9
-
-    def __post_init__(self):
-        if self.max_points < 8:
-            raise DomainError("max_points must be >= 8")
-        if not self.abs_tol > 0:
-            raise DomainError("abs_tol must be positive")
-
-
-@dataclass(frozen=True)
-class SeriesSpec:
-    """Stopping rule for adaptive bilateral series summation."""
-
-    rel_tail_tol: float = 1e-12
-    max_terms: int = 10**6
-
-    def __post_init__(self):
-        if not 0.0 < self.rel_tail_tol < 1.0:
-            raise DomainError("rel_tail_tol must lie in (0, 1)")
-        if self.max_terms < 1:
-            raise DomainError("max_terms must be positive")
 
 
 class QuadratureResult(NamedTuple):
@@ -100,100 +69,44 @@ def _eval_vectorized(f: Callable, x: np.ndarray) -> np.ndarray:
             return y
     except (TypeError, ValueError):
         pass
-    return np.fromiter((float(f(xi)) for xi in x), dtype=float, count=len(x))
+    values = np.fromiter((float(f(xi)) for xi in x.ravel()), dtype=float, count=x.size)
+    return values.reshape(x.shape)
 
 
-def integrate_periodic_full(
-    f: Callable, spec: QuadratureSpec | None = None
-) -> QuadratureResult:
+def _finite_values(f: Callable, x: np.ndarray) -> np.ndarray:
+    fx = _eval_vectorized(f, x)
+    if not np.all(np.isfinite(fx)):
+        raise DomainError("integrand returned a non-finite value")
+    return fx
+
+
+def integrate_periodic_full(f: Callable) -> QuadratureResult:
     """Integrate a continuous 2*pi-periodic function over [0, 2*pi].
 
     Composite trapezoid rule (spectrally accurate for smooth periodic
     integrands) with node doubling until two successive estimates differ
-    by less than ``spec.abs_tol``.  Previous nodes are reused at each
-    doubling.
+    by less than ``ABS_TOL``.  Previous nodes are reused at each doubling.
     """
-    spec = spec or QuadratureSpec()
     n = 16
-    x = TWO_PI * np.arange(n) / n
-    fx = _eval_vectorized(f, x)
-    if not np.all(np.isfinite(fx)):
-        raise DomainError("integrand returned a non-finite value")
-    total = float(fx.sum())
+    total = float(_finite_values(f, TWO_PI * np.arange(n) / n).sum())
     est = total * TWO_PI / n
     prev = math.inf
-    while n <= spec.max_points:
-        if abs(est - prev) < spec.abs_tol:
+    while n <= MAX_POINTS:
+        if abs(est - prev) < ABS_TOL:
             return QuadratureResult(est, abs(est - prev), n)
-        mid = TWO_PI * (np.arange(n) + 0.5) / n
-        fmid = _eval_vectorized(f, mid)
-        if not np.all(np.isfinite(fmid)):
-            raise DomainError("integrand returned a non-finite value")
-        total += float(fmid.sum())
+        total += float(_finite_values(f, TWO_PI * (np.arange(n) + 0.5) / n).sum())
         n *= 2
         prev = est
         est = total * TWO_PI / n
     raise ConvergenceError(
-        f"periodic quadrature did not converge within {spec.max_points} nodes",
+        f"periodic quadrature did not converge within {MAX_POINTS} nodes",
         estimates=(prev, est),
     )
 
 
-def integrate_periodic(f: Callable, spec: QuadratureSpec | None = None) -> float:
+def integrate_periodic(f: Callable) -> float:
     """Value-only wrapper around :func:`integrate_periodic_full`."""
-    return integrate_periodic_full(f, spec).value
-
-
-def _trapezoid_doubling(
-    f: Callable, a: float, b: float, spec: QuadratureSpec
-) -> QuadratureResult:
-    """Composite trapezoid with node doubling and reuse on [a, b]."""
-    n = 32  # panels
-    x = np.linspace(a, b, n + 1)
-    fx = _eval_vectorized(f, x)
-    if not np.all(np.isfinite(fx)):
-        raise DomainError("integrand returned a non-finite value")
-    h = (b - a) / n
-    est = h * (0.5 * fx[0] + fx[1:-1].sum() + 0.5 * fx[-1])
-    prev = math.inf
-    while n <= spec.max_points:
-        if abs(est - prev) < spec.abs_tol:
-            return QuadratureResult(float(est), abs(est - prev), n + 1)
-        mid = a + (b - a) * (np.arange(n) + 0.5) / n
-        fmid = _eval_vectorized(f, mid)
-        if not np.all(np.isfinite(fmid)):
-            raise DomainError("integrand returned a non-finite value")
-        n *= 2
-        h = (b - a) / n
-        prev = est
-        est = 0.5 * est + h * float(fmid.sum())
-    raise ConvergenceError(
-        f"interval quadrature did not converge within {spec.max_points} nodes",
-        estimates=(prev, est),
-    )
-
-
-def _gauss_legendre_doubling(
-    f: Callable, a: float, b: float, spec: QuadratureSpec
-) -> QuadratureResult:
-    n = 16
-    prev = math.inf
-    est = math.inf
-    while n <= spec.max_points:
-        nodes, weights = np.polynomial.legendre.leggauss(n)
-        x = 0.5 * (b - a) * nodes + 0.5 * (a + b)
-        fx = _eval_vectorized(f, x)
-        if not np.all(np.isfinite(fx)):
-            raise DomainError("integrand returned a non-finite value")
-        prev = est
-        est = 0.5 * (b - a) * float(weights @ fx)
-        if abs(est - prev) < spec.abs_tol:
-            return QuadratureResult(est, abs(est - prev), n)
-        n *= 2
-    raise ConvergenceError(
-        f"Gauss-Legendre quadrature did not converge within {spec.max_points} nodes",
-        estimates=(prev, est),
-    )
+    return integrate_periodic_full(f).value
 
 
 # Half-width multiplier for Gaussian truncation: mass beyond 8 sigma is ~1.2e-15,
@@ -201,71 +114,34 @@ def _gauss_legendre_doubling(
 GAUSSIAN_CUTOFF_SIGMAS = 8.0
 
 
-def integrate_gaussian_weighted_full(
-    g: Callable, sigma: float, spec: QuadratureSpec | None = None
-) -> QuadratureResult:
+def integrate_gaussian_weighted(g: Callable, sigma: float) -> float:
     """Integrate g(s) * N(s; 0, sigma^2) ds over the real line.
 
     The domain is truncated to [-8*sigma, 8*sigma] (neglected tail mass
-    below 1e-12) and integrated with node doubling to ``spec.abs_tol``.
-    Trapezoid is the default; ``QuadratureMethod.GAUSS_LEGENDRE`` selects
-    Gauss-Legendre panels instead.
+    below 1e-12) and integrated by the composite trapezoid rule, doubling
+    the panels and reusing the previous nodes until two successive estimates
+    differ by less than ``ABS_TOL``.
     """
-    spec = spec or QuadratureSpec(method=QuadratureMethod.GAUSSIAN_WEIGHTED)
     if not sigma > 0:
         raise DomainError(f"sigma must be positive, got {sigma!r}")
     c = GAUSSIAN_CUTOFF_SIGMAS * sigma
     norm = 1.0 / (sigma * math.sqrt(TWO_PI))
 
     def integrand(s):
-        s = np.asarray(s, dtype=float)
-        w = norm * np.exp(-0.5 * (s / sigma) ** 2)
-        return _eval_vectorized(g, s) * w
+        return _eval_vectorized(g, s) * (norm * np.exp(-0.5 * (s / sigma) ** 2))
 
-    if spec.method is QuadratureMethod.GAUSS_LEGENDRE:
-        return _gauss_legendre_doubling(integrand, -c, c, spec)
-    return _trapezoid_doubling(integrand, -c, c, spec)
-
-
-def integrate_gaussian_weighted(
-    g: Callable, sigma: float, spec: QuadratureSpec | None = None
-) -> float:
-    """Value-only wrapper around :func:`integrate_gaussian_weighted_full`."""
-    return integrate_gaussian_weighted_full(g, sigma, spec).value
-
-
-def bilateral_sum(term: Callable[[int], float], spec: SeriesSpec | None = None) -> float:
-    """Sum term(k) over all integers k, outward from k = 0.
-
-    Terms are accumulated in shells |k| = 0, 1, 2, ...; summation stops once
-    a shell contributes at most ``rel_tail_tol`` times the running sum for
-    three consecutive shells.  Requires ``|term(k)|`` to be eventually
-    decreasing in ``|k|``.
-    """
-    spec = spec or SeriesSpec()
-    total = float(term(0))
-    if not math.isfinite(total):
-        raise DomainError("series term is non-finite at k=0")
-    used = 1
-    consecutive = 0
-    k = 1
-    # the shell threshold carries a 16x safety factor so that geometric tails
-    # (ratios up to ~0.94) stay within rel_tail_tol of the full sum
-    threshold = spec.rel_tail_tol / 16.0
-    while used < spec.max_terms:
-        shell = float(term(k)) + float(term(-k))
-        if not math.isfinite(shell):
-            raise DomainError(f"series term is non-finite near |k|={k}")
-        total += shell
-        used += 2
-        if abs(shell) <= threshold * abs(total):
-            consecutive += 1
-            if consecutive >= 3:
-                return total
-        else:
-            consecutive = 0
-        k += 1
+    n = 32  # panels
+    fx = _finite_values(integrand, np.linspace(-c, c, n + 1))
+    est = (2.0 * c / n) * (0.5 * fx[0] + fx[1:-1].sum() + 0.5 * fx[-1])
+    prev = math.inf
+    while n <= MAX_POINTS:
+        if abs(est - prev) < ABS_TOL:
+            return float(est)
+        fmid = _finite_values(integrand, -c + 2.0 * c * (np.arange(n) + 0.5) / n)
+        n *= 2
+        prev = est
+        est = 0.5 * est + (2.0 * c / n) * float(fmid.sum())
     raise ConvergenceError(
-        f"bilateral series did not settle within {spec.max_terms} terms",
-        estimates=(total,),
+        f"Gaussian-weighted quadrature did not converge within {MAX_POINTS} nodes",
+        estimates=(prev, est),
     )

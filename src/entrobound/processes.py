@@ -23,10 +23,11 @@ from .bounds import (
     univariate_me_bound,
 )
 from .numerics import (
+    ABS_TOL,
+    MAX_POINTS,
     SQRT2,
     ConvergenceError,
     DomainError,
-    QuadratureSpec,
     integrate_gaussian_weighted,
 )
 from .spectrum import CovarianceSequence, SpectralDensity
@@ -41,6 +42,10 @@ class InvariantViolationError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
+def _finite_positive(x: float) -> bool:
+    return math.isfinite(x) and x > 0
+
+
 @dataclass(frozen=True)
 class PoissonModel:
     """i.i.d. Poisson counts with rate > 0."""
@@ -48,7 +53,7 @@ class PoissonModel:
     rate: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.rate) and self.rate > 0):
+        if not _finite_positive(self.rate):
             raise DomainError(f"Poisson rate must be finite and positive: {self.rate!r}")
 
 
@@ -62,12 +67,14 @@ class DmaModel:
     def __post_init__(self):
         w = tuple(float(x) for x in self.mixture_weights)
         object.__setattr__(self, "mixture_weights", w)
-        if len(w) == 0 or any(x < 0 for x in w):
+        if len(w) == 0 or not all(x >= 0 for x in w):
             raise DomainError("mixture weights must be non-negative")
         if abs(sum(w) - 1.0) > 1e-12:
             raise DomainError(f"mixture weights must sum to 1, got {sum(w)!r}")
-        if not self.innovation_variance > 0:
-            raise DomainError("innovation variance must be positive")
+        if not _finite_positive(self.innovation_variance):
+            raise DomainError(
+                f"innovation variance must be finite and positive: {self.innovation_variance!r}"
+            )
 
     @property
     def order(self) -> int:
@@ -131,10 +138,10 @@ class QuantizedMaModel:
     theta: float
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise DomainError(f"sigma must be positive: {self.sigma!r}")
-        if not self.theta >= 0:
-            raise DomainError(f"theta must be non-negative: {self.theta!r}")
+        if not _finite_positive(self.sigma):
+            raise DomainError(f"sigma must be finite and positive: {self.sigma!r}")
+        if not (math.isfinite(self.theta) and self.theta >= 0):
+            raise DomainError(f"theta must be finite and non-negative: {self.theta!r}")
 
 
 @dataclass(frozen=True)
@@ -146,12 +153,12 @@ class QuantizedArModel:
     nu: float
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise DomainError(f"sigma must be positive: {self.sigma!r}")
+        if not _finite_positive(self.sigma):
+            raise DomainError(f"sigma must be finite and positive: {self.sigma!r}")
         if not abs(self.phi) < 1.0:
             raise DomainError(f"stationarity requires |phi| < 1: {self.phi!r}")
-        if not self.nu >= 0:
-            raise DomainError(f"nu must be non-negative: {self.nu!r}")
+        if not (math.isfinite(self.nu) and self.nu >= 0):
+            raise DomainError(f"nu must be finite and non-negative: {self.nu!r}")
 
     @property
     def stationary_variance(self) -> float:
@@ -214,11 +221,27 @@ def _chunk_rows(ncols: int) -> int:
     return max(1, min(_CHUNK, _BLOCK_ELEMENTS // ncols))
 
 
-def _tail_halfwidth(sd: float, rel_tol: float) -> int:
-    return int(math.ceil(sd * math.sqrt(-2.0 * math.log(rel_tol)))) + 2
+# Largest half-width, in cells, of any index range the Gaussian-cell kernels
+# build (a scale near 1e5).  Beyond it a kernel raises DomainError before
+# allocating; every row of the paper's figures stays far below.
+MAX_HALFWIDTH = 2**20
 
 
-def _quantizer_mean(mu: np.ndarray, sd: float, rel_tol: float = 1e-12) -> np.ndarray:
+def _checked_halfwidth(halfwidth: int, scale: float) -> int:
+    if halfwidth > MAX_HALFWIDTH:
+        raise DomainError(
+            f"a Gaussian scale of {scale:.6g} needs {halfwidth} cells on each side, "
+            f"over the limit of {MAX_HALFWIDTH}"
+        )
+    return halfwidth
+
+
+def _tail_halfwidth(sd: float) -> int:
+    """Terms of an erfc tail sum at scale sd whose remainder is below 1e-12."""
+    return _checked_halfwidth(int(math.ceil(sd * math.sqrt(-2.0 * math.log(1e-12)))) + 2, sd)
+
+
+def _quantizer_mean(mu: np.ndarray, sd: float) -> np.ndarray:
     """E[Q(Z)] for Z ~ N(mu, sd^2), vectorized over mu.
 
     Summation by parts around c = round(mu), with d = mu - c in [-1/2, 1/2]:
@@ -227,12 +250,12 @@ def _quantizer_mean(mu: np.ndarray, sd: float, rel_tol: float = 1e-12) -> np.nda
                                       - erfc((j - 1/2 + d) / (sqrt2 sd))],
 
     where every erfc argument is non-negative.  The sum stops after
-    ~sd*sqrt(-2 log tol) terms; the neglected mass is below rel_tol.
+    ~sd*sqrt(-2 log 1e-12) terms; the neglected mass is below 1e-12.
     """
     mu = np.asarray(mu, dtype=float)
     if sd == 0.0:
         return np.ceil(mu - 0.5)
-    half = np.arange(_tail_halfwidth(sd, rel_tol)) + 0.5  # j - 1/2, j >= 1
+    half = np.arange(_tail_halfwidth(sd)) + 0.5  # j - 1/2, j >= 1
     inv = 1.0 / (SQRT2 * sd)
     c = np.rint(mu)
     d = (mu - c)[:, None]
@@ -255,7 +278,7 @@ def _quantized_second_moment(scale: float) -> float:
     """
     if scale <= 0.0:
         return 0.0
-    j = np.arange(1, _tail_halfwidth(scale, 1e-12) + 1)
+    j = np.arange(1, _tail_halfwidth(scale) + 1)
     terms = (2 * j - 1) * special.erfc((j - 0.5) / (SQRT2 * scale))
     return float(terms.sum())
 
@@ -292,15 +315,12 @@ def _quantized_lag_covariance(
     sd_a: float,
     slope_b: float,
     sd_b: float,
-    quad: QuadratureSpec | None = None,
-    rel_tol: float = 1e-12,
 ) -> float:
     """E over s ~ N(0, weight_sigma^2) of E[Q(slope_a*s + A)] E[Q(slope_b*s + B)]
 
     with A ~ N(0, sd_a^2) and B ~ N(0, sd_b^2) independent.  A vanishing sd
     turns the corresponding factor into the bare staircase Q(slope*s); the
     integral is then split at the jumps and done cell by cell."""
-    quad = quad or QuadratureSpec()
     if sd_a == 0.0 and slope_a == 0.0:
         return 0.0  # one factor is identically Q(0) = 0
     if sd_b == 0.0 and slope_b == 0.0:
@@ -315,10 +335,10 @@ def _quantized_lag_covariance(
         est = math.inf
         while nodes <= 512:
             s, w = _cell_grid(weight_sigma, slope_a, nodes)
-            vals = np.ceil(slope_a * s - 0.5) * _quantizer_mean(slope_b * s, sd_b, rel_tol)
+            vals = np.ceil(slope_a * s - 0.5) * _quantizer_mean(slope_b * s, sd_b)
             prev = est
             est = float(w @ vals)
-            if abs(est - prev) < quad.abs_tol:
+            if abs(est - prev) < ABS_TOL:
                 return est
             nodes *= 2
         raise ConvergenceError(
@@ -326,16 +346,14 @@ def _quantized_lag_covariance(
         )
 
     def g(s):
-        return _quantizer_mean(slope_a * s, sd_a, rel_tol) * _quantizer_mean(
-            slope_b * s, sd_b, rel_tol
-        )
+        return _quantizer_mean(slope_a * s, sd_a) * _quantizer_mean(slope_b * s, sd_b)
 
-    return integrate_gaussian_weighted(g, weight_sigma, quad)
+    return integrate_gaussian_weighted(g, weight_sigma)
 
 
 def _box_halfwidth(scale: float) -> int:
     """Half-width of the index box |i| <= 10*scale + 2 holding a pmf of scale."""
-    return int(math.ceil(10.0 * scale)) + 2
+    return _checked_halfwidth(int(math.ceil(10.0 * scale)) + 2, scale)
 
 
 def _marginal_pmf(scale: float) -> tuple[np.ndarray, np.ndarray]:
@@ -351,7 +369,7 @@ def _pmf_entropy(p: np.ndarray) -> float:
 
 
 # Largest joint table _pair_conditional_entropy builds: 2**22 cells (32 MiB).
-# The entropy step holds a few tables of this size at once.  The limit is
+# A level holds at most three tables of this size at once.  The limit is
 # reached near a marginal scale of 102 (sigma ~ 45 for the MA at theta = 2).
 MAX_JOINT_CELLS = 2**22
 
@@ -364,15 +382,13 @@ def _pair_conditional_entropy(
     sd_b: float,
     marginal_scale: float,
     tol: float = 1e-7,
-    mass_tol: float = 1e-10,
-    quad: QuadratureSpec | None = None,
 ) -> float:
     """H(Y_b | Y_a) for the pair Y_a = Q(slope_a*s + A), Y_b = Q(slope_b*s + B).
 
     s ~ N(0, weight_sigma^2) is shared; A, B are independent Gaussian.  The
     joint pmf is accumulated on a truncated index box (|i| <= 10*scale + 2)
     over an s-grid that doubles until the entropy moves less than ``tol`` and
-    the captured joint mass is within ``mass_tol`` of one.
+    the captured joint mass is within 1e-10 of one.
 
     On the trapezoid grid every s-node is evaluated once: each doubling adds
     only the new midpoints to a running sum.  When A is degenerate (sd_a = 0)
@@ -381,7 +397,6 @@ def _pair_conditional_entropy(
     a fixed element count, and a joint table of more than MAX_JOINT_CELLS
     cells raises DomainError before anything is allocated.
     """
-    quad = quad or QuadratureSpec()
     box = _box_halfwidth(marginal_scale)
     if (2 * box + 1) ** 2 > MAX_JOINT_CELLS:
         raise DomainError(
@@ -402,21 +417,37 @@ def _pair_conditional_entropy(
             wc = w[start : start + chunk]
             rows = _interval_probs(idx, slope_a * sc, sd_a)
             cols = _interval_probs(idx, slope_b * sc, sd_b)
-            p += rows.T @ (wc[:, None] * cols)
+            cols *= wc[:, None]
+            p += rows.T @ cols
         return p
 
     def density(s: np.ndarray) -> np.ndarray:
         return norm * np.exp(-0.5 * (s / weight_sigma) ** 2)
 
-    def joint_tables():
-        """Yield (panels, joint table) for panels = 256, 512, 1024, ..."""
+    def entropy_of(p: np.ndarray) -> tuple[float, float]:
+        # consumes p: clipped and normalized in place, then its buffer holds
+        # p log p over the compacted positive cells
+        total = float(p.sum())
+        np.clip(p, 0.0, None, out=p)
+        p /= total
+        rows = p.sum(axis=1)
+        pn = p[p > 0.0]
+        plogp = np.log(pn, out=p.reshape(-1)[: pn.size])
+        h_joint = float(-np.multiply(pn, plogp, out=plogp).sum())
+        h = h_joint + float((rows * np.log(np.maximum(p_y, 1e-300))).sum())
+        return h, total
+
+    def levels():
+        """Yield (panels, entropy, joint mass) for panels = 256, 512, 1024, ...
+
+        Each level's joint table is dropped once its entropy is taken."""
         panels = 256
         if sd_a == 0.0:
             # the conditioning kernel is a bare staircase: use quadrature
             # nodes aligned to its jump cells (panels // 64 nodes per cell)
             while True:
                 s, w = _cell_grid(weight_sigma, slope_a, max(panels // 64, 4))
-                yield panels, accumulate(np.zeros(shape), s, w)
+                yield panels, *entropy_of(accumulate(np.zeros(shape), s, w))
                 panels *= 2
         s = np.linspace(a, b, panels + 1)
         w = density(s)
@@ -424,28 +455,16 @@ def _pair_conditional_entropy(
         w[-1] *= 0.5
         unscaled = accumulate(np.zeros(shape), s, w)  # without the panel width
         while True:
-            yield panels, unscaled * ((b - a) / panels)
+            yield panels, *entropy_of(unscaled * ((b - a) / panels))
             s = a + (b - a) * (np.arange(panels) + 0.5) / panels
             accumulate(unscaled, s, density(s))
             panels *= 2
 
-    def entropy_of(p: np.ndarray) -> tuple[float, float]:
-        total = float(p.sum())
-        pn = np.clip(p, 0.0, None)
-        pn /= total
-        rows = pn.sum(axis=1)
-        pn = pn[pn > 0.0]
-        h_joint = float(-(pn * np.log(pn)).sum())
-        h = h_joint + float((rows * np.log(np.maximum(p_y, 1e-300))).sum())
-        return h, total
-
-    tables = joint_tables()
-    panels, p = next(tables)
-    h_prev, _ = entropy_of(p)
-    while panels < quad.max_points:
-        panels, p = next(tables)
-        h, total = entropy_of(p)
-        if abs(h - h_prev) < tol and abs(total - 1.0) < mass_tol:
+    entropies = levels()
+    panels, h_prev, _ = next(entropies)
+    while panels < MAX_POINTS:
+        panels, h, total = next(entropies)
+        if abs(h - h_prev) < tol and abs(total - 1.0) < 1e-10:
             return h
         h_prev = h
     raise ConvergenceError(
@@ -468,16 +487,13 @@ _POISSON_ASYMPTOTIC = (-1 / 12, -1 / 24, -19 / 360, -9 / 80, -863 / 2520, -1375 
 _POISSON_ASYMPTOTIC_FROM = 100.0
 
 
-def poisson_entropy(model: PoissonModel, tol: float = 1e-12) -> float:
+def poisson_entropy(model: PoissonModel) -> float:
     """Entropy of a Poisson(rate) variable in nats.
 
     Below rate 100: rate*(1 - log rate) + e^{-rate} * sum_k rate^k log(k!) / k!,
-    with the series truncated once a geometric tail bound falls below ``tol``.
-    From rate 100 on: the asymptotic expansion, accurate to 1e-13; ``tol``
-    has no effect there.
+    with the series truncated once a geometric tail bound falls below 1e-12.
+    From rate 100 on: the asymptotic expansion, accurate to 1e-13.
     """
-    if not tol > 0:
-        raise DomainError("tol must be positive")
     lam = model.rate
     if lam >= _POISSON_ASYMPTOTIC_FROM:
         correction = 0.0
@@ -494,7 +510,7 @@ def poisson_entropy(model: PoissonModel, tol: float = 1e-12) -> float:
         term = math.exp(k * log_lam - lam - log_fact) * log_fact
         total += term
         # for k >= 4*lam the term ratio is below ~1/2, so the tail is < term
-        if k >= max(10.0, 4.0 * lam) and term < 0.5 * tol:
+        if k >= max(10.0, 4.0 * lam) and term < 0.5e-12:
             return total
         if k > 10**6:
             raise ConvergenceError("Poisson entropy series did not converge")

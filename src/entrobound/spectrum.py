@@ -8,7 +8,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .numerics import TWO_PI, DomainError, QuadratureSpec
+from .numerics import TWO_PI, DomainError, _eval_vectorized
 
 _VALIDATION_GRID = 4096
 _NEGATIVITY_SLACK = 1e-9
@@ -131,20 +131,8 @@ class SpectralDensity:
 
     @classmethod
     def from_callable(cls, fn: Callable[[np.ndarray], np.ndarray]) -> "SpectralDensity":
-        def evaluate(lam):
-            lam = np.asarray(lam, dtype=float)
-            if lam.size > 1:
-                try:
-                    out = np.asarray(fn(lam), dtype=float)
-                    if out.shape == lam.shape:
-                        return out
-                except (TypeError, ValueError):
-                    pass
-            return np.fromiter(
-                (float(fn(x)) for x in lam), dtype=float, count=lam.size
-            ).reshape(lam.shape)
-
-        return cls(evaluate, kind="callable")
+        """A PSD from a vectorized or scalar-only callable of lambda."""
+        return cls(lambda lam: _eval_vectorized(fn, lam), kind="callable")
 
     def _validate(self):
         grid = TWO_PI * np.arange(_VALIDATION_GRID) / _VALIDATION_GRID

@@ -6,7 +6,6 @@ from scipy import integrate
 
 from entrobound.bounds import (
     L1_SHRINK,
-    BetaVector,
     gaussian_entropy_rate,
     gaussian_psd_bound,
     tdist_bound_1,
@@ -175,15 +174,6 @@ class TestDitheringSanity:
         # i.i.d. uniform on {0..M-1}: variance (M^2 - 1)/12, exact entropy log M
         for m in range(2, 65):
             assert univariate_me_bound((m * m - 1) / 12.0) >= math.log(m)
-
-
-class TestBetaVector:
-    def test_feasible(self):
-        BetaVector((0.4, -0.3))
-
-    def test_infeasible(self):
-        with pytest.raises(DomainError):
-            BetaVector((0.7, 0.4))
 
 
 def _grid_objective(cov, betas, nodes=1024):

@@ -177,6 +177,23 @@ class TestGridValidation:
         assert run_cli(args + ["--out", "-"]) == 2
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["simulate", "--model", "quantized-ma", "--sigma", "inf", "-n", "3"],
+            ["simulate", "--model", "quantized-ma", "--theta", "nan", "-n", "3"],
+            ["simulate", "--model", "quantized-ar", "--nu", "inf", "-n", "3"],
+            ["simulate", "--model", "dma", "--variance", "inf", "-n", "3"],
+            ["fig2", "--sigma", "inf"],
+            ["fig3", "--sigma", "inf"],
+            ["fig4", "--sigma", "inf"],
+            ["fig4", "--nu", "inf"],
+        ],
+    )
+    def test_non_finite_model_parameters(self, args, capsys):
+        assert run_cli(args + ["--out", "-"]) == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_huge_grid_rejected_before_allocation(self, capsys):
         assert run_cli(["fig1", "--lambda-max", "1e12", "--lambda-step", "1e-3", "--out", "-"]) == 2
         assert f"more than {cli.MAX_GRID_POINTS} points" in capsys.readouterr().err
@@ -215,6 +232,10 @@ class TestSimulate:
         records = json.loads(out.read_text())
         assert len(records) == 10
         assert all(isinstance(r["value"], int) for r in records)
+
+    def test_oversized_length(self, capsys):
+        assert run_cli(["simulate", "--model", "poisson", "-n", "10000000000000", "--out", "-"]) == 2
+        assert "exceeds the limit" in capsys.readouterr().err
 
     def test_invalid_model_parameters(self, tmp_path):
         assert run_cli(["simulate", "--model", "quantized-ar", "--phi", "1.5",

@@ -92,6 +92,21 @@ class TestSimulate:
         with pytest.raises(DomainError):
             simulate(PoissonModel(1.0), 0, seed=1)
 
+    def test_length_limit_rejected_before_allocating(self):
+        import tracemalloc
+
+        from entrobound.montecarlo import MAX_PATH_LENGTH
+
+        assert MAX_PATH_LENGTH >= 10**7  # the longest path the oracles draw
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="exceeds the limit"):
+                simulate(PoissonModel(1.0), MAX_PATH_LENGTH + 1, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
 
 def _states(g1, g2, n, seed):
     # emissions with p1 = 0 and p2 = 1 reveal the hidden state

@@ -371,6 +371,44 @@ class TestConditionalEntropyMemory:
         assert cli.main(["fig3", "--sigma", "200", "--out", str(out)]) == 2
         assert "joint table" in capsys.readouterr().err
 
+    def test_scale_limit_raises_before_allocating(self):
+        import tracemalloc
+
+        # sigma = 1e9 would need a 7.4e9-term second-moment sum and a
+        # 2e10-cell marginal pmf
+        tracemalloc.start()
+        try:
+            for kernel, theta in ((qma_r0, 0.0), (qma_r1, 1.0), (qma_conditional_entropy, 0.0)):
+                with pytest.raises(DomainError, match="cells on each side"):
+                    kernel(QuantizedMaModel(1e9, theta))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_scale_limit_boundary(self):
+        from entrobound import processes
+
+        # the helpers return a count only, so the limit is probed at no cost
+        limit = processes.MAX_HALFWIDTH
+        for helper, cells_per_scale in (
+            (processes._box_halfwidth, 10.0),
+            (processes._tail_halfwidth, math.sqrt(-2.0 * math.log(1e-12))),
+        ):
+            assert helper(0.99 * limit / cells_per_scale) <= limit
+            with pytest.raises(DomainError):
+                helper(1.01 * limit / cells_per_scale)
+
+    @pytest.mark.parametrize(
+        "args",
+        [["fig2", "--sigma", "1e9"], ["fig3", "--sigma", "1e9", "--theta-max", "0"]],
+    )
+    def test_scale_limit_cli(self, args, capsys):
+        from entrobound import cli
+
+        assert cli.main(args + ["--out", "-"]) == 2
+        assert "cells on each side" in capsys.readouterr().err
+
     def test_large_sigma_value(self):
         # a 1347 x 1347 joint table, inside the limit
         h = qma_conditional_entropy(QuantizedMaModel(30.0, 2.0))
@@ -487,6 +525,23 @@ class TestModelValidation:
             QuantizedArModel(1.0, 1.0, 1.0)
         with pytest.raises(DomainError):
             QuantizedArModel(1.0, 0.5, -1.0)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda x: QuantizedMaModel(x, 1.0),
+            lambda x: QuantizedMaModel(1.0, x),
+            lambda x: QuantizedArModel(x, 0.5, 1.0),
+            lambda x: QuantizedArModel(1.0, 0.5, x),
+            lambda x: DmaModel((0.5, 0.5), x),
+            lambda x: DmaModel((x, 0.5), 1.0),
+        ],
+        ids=["ma-sigma", "ma-theta", "ar-sigma", "ar-nu", "dma-variance", "dma-weight"],
+    )
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_parameters(self, build, value):
+        with pytest.raises(DomainError):
+            build(value)
 
     def test_emissions(self):
         with pytest.raises(DomainError):
