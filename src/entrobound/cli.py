@@ -14,6 +14,8 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
+
 from . import montecarlo, processes, spectrum
 from .bounds import (
     gaussian_entropy_rate,
@@ -66,8 +68,22 @@ def _map_ordered(fn, items):
         return list(pool.map(fn, items))
 
 
-def _write_table(out_path: str, columns: list[str], rows: list[list], fmt: str):
+def _render_int_column(column: str, values: np.ndarray, fmt: str) -> str:
+    # one str() per value: the same text as the row renderer below gives
+    # for [[int(v)] for v in values], without a _fmt call or a dict per value
+    text = map(str, values.tolist())
     if fmt == "csv":
+        return column + "\n" + "\n".join(text) + "\n"
+    key = json.dumps(column)
+    return "[\n  {\n    %s: " % key + ("\n  },\n  {\n    %s: " % key).join(text) + "\n  }\n]\n"
+
+
+def _write_table(out_path: str, columns: list[str], rows, fmt: str):
+    """Write rows (a list of rows, or a 1-D integer array holding the one
+    column) as CSV or JSON to out_path ('-' for stdout)."""
+    if isinstance(rows, np.ndarray):
+        text = _render_int_column(columns[0], rows, fmt)
+    elif fmt == "csv":
         lines = [",".join(columns)]
         lines += [",".join(_fmt(v) for v in row) for row in rows]
         text = "\n".join(lines) + "\n"
@@ -219,10 +235,10 @@ _MODEL_BUILDERS = {
 }
 
 
-def run_simulate(args) -> tuple[list[str], list[list]]:
+def run_simulate(args) -> tuple[list[str], np.ndarray]:
     model = _MODEL_BUILDERS[args.model](args)
     path = montecarlo.simulate(model, args.length, args.seed)
-    return ["value"], [[int(v)] for v in path.values]
+    return ["value"], path.values
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,11 @@
 
 Paths are integer-valued, stationary from the first sample, and bit-identical
 under the same (model, n, seed) within a version.  Standard errors use batch
-means (64 batches) because the paths are autocorrelated.
+means (64 batches) because the paths are autocorrelated.  Everything here is
+numpy: the quantized-AR path runs its AR(1) recursion through a blocked
+filter (:func:`_ar1_filter`, a matmul per block of 64 plus a log-step scan
+over the block ends), which agrees with the sequential recursion to about
+1e-15 of the path's scale.
 """
 
 from __future__ import annotations
@@ -97,6 +101,40 @@ def _two_state_chain(rng: np.random.Generator, g1: float, g2: float, n: int) -> 
     return np.repeat((np.arange(len(lengths)) + x0) % 2, lengths)
 
 
+_AR_BLOCK = 64
+
+
+def _ar1_filter(w: np.ndarray, phi: float, x0: float) -> np.ndarray:
+    """x[t] = phi * x[t-1] + w[t] for t = 0, ..., n-1, with x[-1] = x0.
+
+    Blocked, in numpy: the input is cut into blocks of 64, and each block's
+    zero-state response is one matmul with the lower-triangular matrix
+    phi^(i-j).  The block-end states then form an AR(1) in phi^64, solved
+    by a log-step scan (x[d:] += a^d x[:-d], d = 1, 2, 4, ...) that stops
+    once the coefficient underflows.  Each block adds back the state carried
+    in from the previous one, times phi^(i+1).  The result agrees with the
+    sequential recursion to a few units of roundoff per block-end step.
+    """
+    n = len(w)
+    blocks = -(-n // _AR_BLOCK)
+    padded = np.zeros(blocks * _AR_BLOCK)
+    padded[:n] = w
+    lag = np.subtract.outer(np.arange(_AR_BLOCK), np.arange(_AR_BLOCK))
+    lower = np.where(lag >= 0, phi ** np.maximum(lag, 0), 0.0)
+    x = padded.reshape(blocks, _AR_BLOCK) @ lower.T
+    ends = x[:, -1].copy()
+    coef = phi**_AR_BLOCK
+    ends[0] += coef * x0
+    d = 1
+    while d < blocks and coef != 0.0:
+        ends[d:] += coef * ends[:-d]
+        coef *= coef
+        d *= 2
+    carried = np.concatenate(([x0], ends[:-1]))
+    x += np.outer(carried, phi ** np.arange(1, _AR_BLOCK + 1))
+    return x.reshape(-1)[:n]
+
+
 def simulate(model: ProcessModel, n: int, seed: int) -> SamplePath:
     """Draw a stationary-start path of length n, deterministic given seed.
 
@@ -135,12 +173,10 @@ def simulate(model: ProcessModel, n: int, seed: int) -> SamplePath:
         w = rng.normal(0.0, model.sigma, n + 1)
         values = _quantize_array(w[1:] + model.theta * w[:-1])
     elif isinstance(model, QuantizedArModel):
-        from scipy import signal
-
         sigma0 = math.sqrt(model.stationary_variance)
         x0 = rng.normal(0.0, sigma0)
         w = rng.normal(0.0, model.sigma, n)
-        x = signal.lfilter([1.0], [1.0, -model.phi], w, zi=np.array([model.phi * x0]))[0]
+        x = _ar1_filter(w, model.phi, x0)
         v = rng.normal(0.0, model.nu, n)
         values = _quantize_array(x + v)
     else:

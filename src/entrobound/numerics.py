@@ -14,12 +14,15 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 SQRT2 = math.sqrt(2.0)
 
-# Node budget and tolerance of the adaptive quadratures below, shared by the
+# Node budget and tolerances of the adaptive quadratures below, shared by the
 # node doublings in ``bounds`` and ``processes``: a doubling stops once two
-# successive estimates differ by less than ABS_TOL, and gives up with
-# ConvergenceError beyond MAX_POINTS nodes.
+# successive estimates differ by less than ABS_TOL, or by less than REL_TOL of
+# the estimate when that is larger (|estimate| above 1e4, where the rounding
+# of the sum itself exceeds ABS_TOL), and gives up with ConvergenceError
+# beyond MAX_POINTS nodes.
 MAX_POINTS = 2**21
 ABS_TOL = 1e-9
+REL_TOL = 1e-13
 
 
 class DomainError(ValueError):
@@ -61,12 +64,24 @@ def log_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
+def converged(est: float, prev: float) -> bool:
+    """Whether two successive estimates of a node doubling agree to tolerance."""
+    diff = abs(est - prev)
+    return diff < ABS_TOL or diff < REL_TOL * abs(est)
+
+
 def _eval_vectorized(f: Callable, x: np.ndarray) -> np.ndarray:
-    """Evaluate ``f`` on an array of nodes, accepting scalar-only callables."""
+    """Evaluate ``f`` on an array of nodes, accepting scalar-only callables.
+
+    A DomainError from the vectorized call propagates: the input is outside
+    the integrand's domain, and a node-by-node rerun would only repeat it.
+    """
     try:
         y = np.asarray(f(x), dtype=float)
         if y.shape == x.shape:
             return y
+    except DomainError:
+        raise
     except (TypeError, ValueError):
         pass
     values = np.fromiter((float(f(xi)) for xi in x.ravel()), dtype=float, count=x.size)
@@ -85,14 +100,15 @@ def integrate_periodic_full(f: Callable) -> QuadratureResult:
 
     Composite trapezoid rule (spectrally accurate for smooth periodic
     integrands) with node doubling until two successive estimates differ
-    by less than ``ABS_TOL``.  Previous nodes are reused at each doubling.
+    by less than ``ABS_TOL`` (relatively ``REL_TOL`` for large values).
+    Previous nodes are reused at each doubling.
     """
     n = 16
     total = float(_finite_values(f, TWO_PI * np.arange(n) / n).sum())
     est = total * TWO_PI / n
     prev = math.inf
     while n <= MAX_POINTS:
-        if abs(est - prev) < ABS_TOL:
+        if converged(est, prev):
             return QuadratureResult(est, abs(est - prev), n)
         total += float(_finite_values(f, TWO_PI * (np.arange(n) + 0.5) / n).sum())
         n *= 2
@@ -120,7 +136,7 @@ def integrate_gaussian_weighted(g: Callable, sigma: float) -> float:
     The domain is truncated to [-8*sigma, 8*sigma] (neglected tail mass
     below 1e-12) and integrated by the composite trapezoid rule, doubling
     the panels and reusing the previous nodes until two successive estimates
-    differ by less than ``ABS_TOL``.
+    differ by less than ``ABS_TOL`` (relatively ``REL_TOL`` for large values).
     """
     if not sigma > 0:
         raise DomainError(f"sigma must be positive, got {sigma!r}")
@@ -135,7 +151,7 @@ def integrate_gaussian_weighted(g: Callable, sigma: float) -> float:
     est = (2.0 * c / n) * (0.5 * fx[0] + fx[1:-1].sum() + 0.5 * fx[-1])
     prev = math.inf
     while n <= MAX_POINTS:
-        if abs(est - prev) < ABS_TOL:
+        if converged(est, prev):
             return float(est)
         fmid = _finite_values(integrand, -c + 2.0 * c * (np.arange(n) + 0.5) / n)
         n *= 2

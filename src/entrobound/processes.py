@@ -13,7 +13,6 @@ from functools import lru_cache
 from typing import Union
 
 import numpy as np
-from scipy import special
 
 from .bounds import (
     BoundResult,
@@ -23,11 +22,11 @@ from .bounds import (
     univariate_me_bound,
 )
 from .numerics import (
-    ABS_TOL,
     MAX_POINTS,
     SQRT2,
     ConvergenceError,
     DomainError,
+    converged,
     integrate_gaussian_weighted,
 )
 from .spectrum import CovarianceSequence, SpectralDensity
@@ -182,6 +181,17 @@ def quantize(s: float) -> int:
     return int(math.ceil(s - 0.5))
 
 
+def _erfc(x: np.ndarray) -> np.ndarray:
+    """Elementwise erfc.  The first call imports scipy.special and rebinds
+    this name to its erfc ufunc, so importing the package, and every command
+    that never evaluates a Gaussian cell, loads no scipy module, and later
+    calls pay nothing for the indirection."""
+    global _erfc
+    from scipy.special import erfc as _erfc
+
+    return _erfc(x)
+
+
 def _cell_probs(z: np.ndarray) -> np.ndarray:
     """P(N(0, 1) in [z[..., k], z[..., k+1])) for increasing edges z.
 
@@ -190,7 +200,7 @@ def _cell_probs(z: np.ndarray) -> np.ndarray:
     the one cell that straddles 0 is 1 - (q_lo + q_hi)/2.  Far-tail cells
     keep full relative accuracy instead of cancelling to roundoff.
     """
-    q = special.erfc(np.abs(z) / SQRT2)
+    q = _erfc(np.abs(z) / SQRT2)
     q_lo, q_hi = q[..., :-1], q[..., 1:]
     p = 0.5 * np.abs(q_lo - q_hi)
     straddle = (z[..., :-1] < 0.0) & (z[..., 1:] > 0.0)
@@ -263,7 +273,7 @@ def _quantizer_mean(mu: np.ndarray, sd: float) -> np.ndarray:
     out = np.empty_like(mu)
     for start in range(0, len(mu), chunk):
         dc = d[start : start + chunk]
-        diff = special.erfc((half - dc) * inv) - special.erfc((half + dc) * inv)
+        diff = _erfc((half - dc) * inv) - _erfc((half + dc) * inv)
         out[start : start + chunk] = c[start : start + chunk] + 0.5 * diff.sum(axis=1)
     return out
 
@@ -279,7 +289,7 @@ def _quantized_second_moment(scale: float) -> float:
     if scale <= 0.0:
         return 0.0
     j = np.arange(1, _tail_halfwidth(scale) + 1)
-    terms = (2 * j - 1) * special.erfc((j - 0.5) / (SQRT2 * scale))
+    terms = (2 * j - 1) * _erfc((j - 0.5) / (SQRT2 * scale))
     return float(terms.sum())
 
 
@@ -338,7 +348,7 @@ def _quantized_lag_covariance(
             vals = np.ceil(slope_a * s - 0.5) * _quantizer_mean(slope_b * s, sd_b)
             prev = est
             est = float(w @ vals)
-            if abs(est - prev) < ABS_TOL:
+            if converged(est, prev):
                 return est
             nodes *= 2
         raise ConvergenceError(

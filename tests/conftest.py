@@ -92,6 +92,41 @@ def qar_rectangle_conditional_entropy(sigma: float, phi: float, nu: float) -> fl
     return rectangle_conditional_entropy(math.sqrt(var), phi * var0 / var)
 
 
+def quantized_cross_moment(var_x: float, var_y: float, cov: float, terms: int = 8):
+    """E[Q(X) Q(Y)] for centred jointly normal (X, Y), as a 40-digit mpmath value.
+
+    An oracle independent of the library's quadrature.  Write Q(x) = x - e(x)
+    with the sawtooth e(x) = sum_{k>=1} (-1)^(k+1) sin(2 pi k x) / (pi k).
+    Gaussian characteristic functions give, with a = 2 pi^2,
+
+        E[X e(Y)]    = 2 cov sum_k (-1)^(k+1) exp(-a k^2 var_y),
+        E[e(X) e(Y)] = sum_{k,l} (-1)^(k+l) / (2 pi^2 k l)
+                       * (exp(-a q(k, -l)) - exp(-a q(k, l))),
+        q(k, l)      = k^2 var_x + 2 k l cov + l^2 var_y,
+
+    so E[Q(X) Q(Y)] = cov - E[X e(Y)] - E[e(X) Y] + E[e(X) e(Y)].  Since
+    q(k, l) >= (min(var_x, var_y) - |cov|)(k^2 + l^2), the terms beyond
+    ``terms`` are below exp(-a (min var - |cov|) terms^2); the oracle needs
+    min var - |cov| well above 0 (it does not cover E[Q(X)^2]).
+    """
+    import mpmath
+
+    with mpmath.workdps(40):
+        vx, vy, c = mpmath.mpf(var_x), mpmath.mpf(var_y), mpmath.mpf(cov)
+        a = 2 * mpmath.pi**2
+
+        def q(k, l):
+            return k * k * vx + 2 * k * l * c + l * l * vy
+
+        total = c
+        for k in range(1, terms + 1):
+            total -= (-1) ** (k + 1) * 2 * c * (mpmath.exp(-a * k * k * vx) + mpmath.exp(-a * k * k * vy))
+            for l in range(1, terms + 1):
+                weight = (-1) ** (k + l) / (2 * mpmath.pi**2 * k * l)
+                total += weight * (mpmath.exp(-a * q(k, -l)) - mpmath.exp(-a * q(k, l)))
+        return total
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

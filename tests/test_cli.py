@@ -242,6 +242,31 @@ class TestSimulate:
                         "--length", "10", "--out", "-"]) == 2
 
 
+def _row_rendering(values, fmt):
+    """An integer column rendered row by row: one _fmt call or JSON record per value."""
+    if fmt == "csv":
+        return "value\n" + "".join(cli._fmt(int(v)) + "\n" for v in values)
+    return json.dumps([{"value": int(v)} for v in values], indent=2) + "\n"
+
+
+class TestSimulateRendering:
+    @pytest.mark.parametrize("model", sorted(cli._MODEL_BUILDERS))
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("n", [1, 10**5])
+    def test_byte_identical_to_row_rendering(self, model, fmt, n, tmp_path):
+        from entrobound.montecarlo import simulate
+
+        out = tmp_path / "path.txt"
+        argv = ["simulate", "--model", model, "-n", str(n), "--seed", "11", "--format", fmt]
+        assert run_cli(argv + ["--out", str(out)]) == 0
+        args = cli._build_parser().parse_args(argv)
+        values = simulate(cli._MODEL_BUILDERS[model](args), n, 11).values
+        got, want = out.read_text(), _row_rendering(values, fmt)
+        if got != want:  # not a bare assert: pytest's diff of 1e5 lines takes minutes
+            i = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+            pytest.fail(f"first difference at character {i}: {got[i:i + 40]!r} vs {want[i:i + 40]!r}")
+
+
 class TestJsonMirror:
     def test_same_records_as_csv(self, tmp_path):
         csv_out = tmp_path / "t.csv"

@@ -2,15 +2,52 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import entrobound
 
+# Run in a fresh interpreter: print the scipy modules loaded after the code.
+_REPORT = "print(','.join(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))))"
+_MAIN = (
+    "import io, sys, contextlib\n"
+    "from entrobound import cli\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    assert cli.main({argv!r}) == 0\n"
+)
+_SIMULATE_MODELS = ("binomial-hmm", "dma", "poisson", "poisson-hmm", "quantized-ar", "quantized-ma")
 
-def test_import_loads_no_heavy_scipy_modules():
-    # scipy.signal and scipy.linalg load on first use; optimize and stats never
-    heavy = ("scipy.optimize", "scipy.signal", "scipy.stats", "scipy.linalg")
-    code = f"import sys, entrobound; print(','.join(m for m in {heavy!r} if m in sys.modules))"
+
+def scipy_modules_after(code: str, cwd) -> str:
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(entrobound.__file__)))
     out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+        [sys.executable, "-c", f"import sys\n{code}\n{_REPORT}"],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=env,
+        cwd=cwd,
     )
-    assert out.stdout.strip() == ""
+    return out.stdout.strip()
+
+
+@pytest.mark.parametrize("module", ["entrobound", "entrobound.cli"])
+def test_import_loads_no_scipy_module(module, tmp_path):
+    # scipy.special, scipy.linalg load on first use; signal, optimize, stats never
+    assert scipy_modules_after(f"import {module}", tmp_path) == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["fig1"], ["bound-cov", "--input", "cov.txt"], ["bound-psd", "--input", "cov.txt"]]
+    + [["simulate", "--model", m, "-n", "1000"] for m in _SIMULATE_MODELS],
+    ids=lambda argv: " ".join(argv[:3]),
+)
+def test_commands_without_gaussian_cells_load_no_scipy_module(argv, tmp_path):
+    (tmp_path / "cov.txt").write_text("1.0,0.5,0.2,-0.1\n")
+    assert scipy_modules_after(_MAIN.format(argv=argv), tmp_path) == ""
+
+
+def test_gaussian_cell_commands_load_scipy_special_on_first_use(tmp_path):
+    # the check above can see scipy: fig3 evaluates erfc, so scipy.special loads
+    loaded = scipy_modules_after(_MAIN.format(argv=["fig3", "--theta-max", "0.2"]), tmp_path)
+    assert "scipy.special" in loaded.split(",")

@@ -7,6 +7,8 @@ import pytest
 from entrobound.montecarlo import (
     EstimateWithError,
     SamplePath,
+    _ar1_filter,
+    _quantize_array,
     _two_state_chain,
     empirical_conditional_entropy,
     empirical_covariance,
@@ -186,6 +188,43 @@ class TestTwoStateSampler:
         got = np.loadtxt(out, dtype=np.int64, skiprows=1)
         model = TwoStateHmm(0.7, 0.6, BinomialEmission(10, 0.2, 0.8))
         assert np.array_equal(got, simulate(model, 20000, seed=54).values)
+
+
+def _ar1_recursion(w, phi, x0):
+    out = np.empty(len(w))
+    x = x0
+    for t, wt in enumerate(w):
+        x = phi * x + wt
+        out[t] = x
+    return out
+
+
+class TestAr1Filter:
+    @pytest.mark.parametrize("phi", [0.0, 0.5, -0.5, 0.9, 0.9999])
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 10**4 + 7])
+    def test_matches_plain_recursion(self, phi, n, rng):
+        w = rng.normal(size=n)
+        x0 = 3.0 * rng.normal()
+        got = _ar1_filter(w, phi, x0)
+        want = _ar1_recursion(w, phi, x0)
+        assert got.shape == (n,)
+        # relative to the path's scale: single values near zero crossings
+        # carry the absolute roundoff of their neighbours
+        scale = np.abs(want).max()
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    def test_quantized_path_matches_lfilter(self, seed):
+        # scipy.signal.lfilter, the sequential filter, is the oracle here
+        from scipy import signal
+
+        model = QuantizedArModel(1.0, 0.9, 4.0)
+        rng = np.random.default_rng(seed)
+        x0 = rng.normal(0.0, math.sqrt(model.stationary_variance))
+        w = rng.normal(0.0, model.sigma, 10**5)
+        x = signal.lfilter([1.0], [1.0, -model.phi], w, zi=np.array([model.phi * x0]))[0]
+        want = _quantize_array(x + rng.normal(0.0, model.nu, 10**5))
+        assert np.array_equal(simulate(model, 10**5, seed).values, want)
 
 
 class TestEmpiricalCovariance:

@@ -112,3 +112,54 @@ class TestIntegrateGaussianWeighted:
     def test_sigma_domain(self):
         with pytest.raises(DomainError):
             integrate_gaussian_weighted(lambda s: s, 0.0)
+
+
+class TestDomainErrorPropagates:
+    """A DomainError from a vectorized integrand is not retried node by node."""
+
+    @staticmethod
+    def recording_integrand(calls):
+        def g(s):
+            calls.append(np.shape(s))
+            raise DomainError("outside the domain")
+
+        return g
+
+    def test_gaussian_weighted(self):
+        calls = []
+        with pytest.raises(DomainError, match="outside the domain"):
+            integrate_gaussian_weighted(self.recording_integrand(calls), 1.0)
+        assert calls == [(33,)]
+
+    def test_periodic(self):
+        calls = []
+        with pytest.raises(DomainError, match="outside the domain"):
+            integrate_periodic(self.recording_integrand(calls))
+        assert calls == [(16,)]
+
+    def test_quantized_lag_covariance_scale_limit(self, monkeypatch):
+        from entrobound import processes
+
+        calls = []
+        inner = processes._quantizer_mean
+
+        def recording(mu, sd):
+            calls.append(len(mu))
+            return inner(mu, sd)
+
+        monkeypatch.setattr(processes, "_quantizer_mean", recording)
+        with pytest.raises(DomainError, match="cells on each side"):
+            processes.qma_r1.__wrapped__(processes.QuantizedMaModel(1e9, 1.0))
+        assert calls == [33]
+
+
+class TestRelativeTolerance:
+    def test_small_values_keep_the_absolute_rule(self):
+        # below |estimate| = ABS_TOL / REL_TOL = 1e4 only ABS_TOL counts
+        assert numerics.ABS_TOL / numerics.REL_TOL == pytest.approx(1e4)
+        assert not numerics.converged(9999.0, 9999.0 + 2e-9)
+        assert numerics.converged(9999.0, 9999.0 + 0.5e-9)
+
+    def test_large_values_stop_on_the_relative_rule(self):
+        assert numerics.converged(1e7, 1e7 + 0.5e-6)
+        assert not numerics.converged(1e7, 1e7 + 2e-6)

@@ -37,6 +37,7 @@ from conftest import (
     load_reference,
     qar_rectangle_conditional_entropy,
     qma_rectangle_conditional_entropy,
+    quantized_cross_moment,
 )
 
 # the theta grid of fig3, and its (sigma, theta) points whose frozen H_CE
@@ -678,3 +679,59 @@ class TestKernelOracles:
         for lag in (0, 1, 2):
             est = mc.empirical_covariance(path, lag)
             assert abs(est.value - hmm_covariance(m, lag)) <= 4 * est.std_error
+
+
+class TestLagCovarianceAtLargeScale:
+    """R(1) and R(k) against the Fourier-series oracle, up to sigma = 3000.
+
+    These integrands are of order sigma^2, so the node doubling has to stop
+    on a relative tolerance once their rounding exceeds the absolute one.
+    The 8-sigma truncation of the Gaussian weight leaves about 1e-13 of
+    sigma^2 out, which sets the rel 1e-12 tolerance.
+    """
+
+    @pytest.mark.parametrize("sigma", [0.3, 1.0, 5.0, 3000.0])
+    @pytest.mark.parametrize("theta", [0.5, 1.0, 2.0])
+    def test_qma_r1_against_oracle(self, sigma, theta):
+        var = sigma * sigma * (1.0 + theta * theta)
+        oracle = float(quantized_cross_moment(var, var, theta * sigma * sigma))
+        assert qma_r1(QuantizedMaModel(sigma, theta)) == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "sigma,phi,nu,k", [(1.0, 0.9, 4.0, 1), (1.0, 0.9, 4.0, 3), (3000.0, 0.9, 4.0, 2), (3000.0, -0.5, 1.0, 1)]
+    )
+    def test_qar_rk_against_oracle(self, sigma, phi, nu, k):
+        var0 = sigma * sigma / (1.0 - phi * phi)
+        oracle = float(quantized_cross_moment(var0 + nu * nu, var0 + nu * nu, phi**k * var0))
+        assert qar_rk(QuantizedArModel(sigma, phi, nu), k) == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
+    def test_doubling_stops_early_at_large_scale(self, monkeypatch):
+        # with the absolute tolerance alone sigma = 3000 took 4,098 nodes of
+        # ~22,000-term erfc rows each, against 130 at sigma = 1
+        from entrobound import processes
+
+        nodes = []
+        inner = processes._quantizer_mean
+
+        def recording(mu, sd):
+            nodes.append(len(mu))
+            return inner(mu, sd)
+
+        monkeypatch.setattr(processes, "_quantizer_mean", recording)
+        qma_r1.__wrapped__(QuantizedMaModel(3000.0, 1.0))
+        assert sum(nodes) <= 2 * (128 + 1)
+
+    def test_fig2_cli_at_sigma_3000(self, tmp_path, monkeypatch):
+        from entrobound import cli
+
+        monkeypatch.setenv("ENTROBOUND_THREADS", "1")
+        out = tmp_path / "fig2.csv"
+        argv = ["fig2", "--sigma", "3000", "--theta-max", "2", "--theta-step", "1"]
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        rows = out.read_text().split()[1:]
+        for row, theta in zip(rows, (0.0, 1.0, 2.0)):
+            var = 9e6 * (1.0 + theta * theta)
+            r1 = float(quantized_cross_moment(var, var, theta * 9e6))
+            # at this scale E[Q(X)^2] = Var X + 1/12 up to exp(-2 pi^2 Var X)
+            expected = 2.0 * r1 / (var + 1.0 / 12.0 + 1.0 / 12.0)
+            assert float(row.split(",")[1]) == pytest.approx(expected, abs=1e-9)
