@@ -36,21 +36,22 @@ LOG_2PI_E = math.log(2.0 * math.pi * math.e)
 # shrunken closed region sum|beta_m| <= 1 - L1_SHRINK.
 L1_SHRINK = 1e-6
 
-# Barrier path of the boundary solve: tau starts at _TAU_START and grows by
-# _TAU_GROWTH per centring until (number of slacks) / tau, the duality gap of
-# an exact centre, reaches _PATH_GAP.  A centre is accepted at Newton
-# decrement^2 <= _CENTERING_TOL.
-_TAU_START = 100.0
-_TAU_GROWTH = 30.0
-_PATH_GAP = 1e-12
-_CENTERING_TOL = 1e-8
-_MAX_NEWTON_STEPS = 500
+# Primal-dual solve of the boundary case: multipliers start at _MU_START /
+# slack; each step goes _STEP_FRACTION of the way to the nearest bound; after
+# a step that raised slack . multipliers, the centring weight is at least
+# _SIGMA_FLOOR; the solve stops once slack . multipliers <= _PATH_GAP.
+_MU_START = 1e-2
+_PATH_GAP = 1e-13
+_STEP_FRACTION = 0.99
+_SIGMA_FLOOR = 0.3
+_MAX_ITERATIONS = 100
 
 
 @dataclass
 class BoundResult:
     """A bound value plus optimizer/quadrature diagnostics; ``duality_gap``
-    bounds how far ``value`` can lie above the infimum (0 for closed forms)."""
+    bounds how far ``value`` can lie above the infimum (0 for closed forms).
+    ``optimizer_iterations`` counts primal-dual iterations (0 for closed forms)."""
 
     value: float
     argmin: list | None = None
@@ -137,56 +138,78 @@ def _cosine_table(k: int, n: int) -> np.ndarray:
 
 
 def _central_path(a: np.ndarray, table: np.ndarray, limit: float):
-    """Barrier path for min a.p - mean log Psi_p over sum_m |p_m| <= limit*p_0.
+    """Primal-dual solve of min a.p - mean log Psi_p over sum_m |p_m| <= limit*p_0.
 
     Psi_p(lambda) = p_0 + sum_m p_m cos(m*lambda), averaged over the nodes
     of ``table``.  The variables are x = (p_0..p_k, t_1..t_k) with the
-    2k + 1 linear slacks t_m - p_m, t_m + p_m and limit*p_0 - sum_m t_m.
-    Objective and barrier are self-concordant, so damped Newton steps stay
-    strictly feasible.  Returns (x, Newton steps).
+    2k + 1 linear slacks s = (t_m - p_m, t_m + p_m, limit*p_0 - sum_m t_m)
+    and their multipliers lam.  Mehrotra predictor-corrector steps
+    (Mehrotra, SIAM J. Optim. 2, 1992) condense t out of each Newton system
+    in closed form and move x, s and lam by one common step length.  s is
+    carried as an iterate, not recomputed from x, because t_m - p_m cancels to
+    0 near the end.  Stops when s.lam is at most _PATH_GAP.  Returns
+    (x, iterations).
     """
     k = len(a) - 1
     n = table.shape[1]
-    eye, col = np.eye(k), np.zeros((k, 1))
-    cons = np.block([[col, -eye, eye], [col, eye, eye], [limit, col.T, -np.ones((1, k))]])
+    p = np.eye(k + 1)[0] / a[0]
+    t = np.full(k, limit / ((k + 1) * a[0]))
+    s = np.concatenate((t - p[1:], t + p[1:], [limit * p[0] - t.sum()]))
+    lam = _MU_START / s
+    diag = np.arange(1, k + 1)
+    rose = False
+    for steps in range(_MAX_ITERATIONS + 1):
+        # dual residuals: gradient minus constraint normals times multipliers
+        w = table / (p @ table)
+        r_p = a - w.sum(axis=1) / n - np.append(limit * lam[-1], lam[k:-1] - lam[:k])
+        r_t = lam[-1] - lam[:k] - lam[k:-1]
+        gap = float(s @ lam)
+        if gap <= _PATH_GAP:
+            return np.concatenate((p, t)), steps
+        if steps == _MAX_ITERATIONS:
+            break
+        # Newton system condensed onto p: with q = lam/s, eliminating t leaves
+        # W + diag(0, 4 q1 q2/(q1 + q2)) + rho e e^T, solved by diagonal
+        # scaling plus Sherman-Morrison for the rank-one term
+        q = lam / s
+        q1, q2, q3 = q[:k], q[k:-1], q[-1]
+        d = q1 + q2
+        e = np.concatenate(([limit], (q2 - q1) / d))
+        rho = 1.0 / (1.0 / q3 + (1.0 / d).sum())
+        hess = (w @ w.T) / n
+        hess[diag, diag] += 4.0 * q1 * q2 / d
+        scale = 1.0 / np.sqrt(hess.diagonal())
+        inv = np.linalg.inv(hess * scale * scale[:, None])
+        z = scale * (inv @ (scale * e))
+        z *= rho / (1.0 + rho * (e @ z))
 
-    x = np.concatenate(([1.0], np.zeros(k), np.full(k, limit / (k + 1)))) / a[0]
-    tau, tau_end = _TAU_START, len(cons) / _PATH_GAP
-    dec2 = math.inf
-    for steps in range(1, _MAX_NEWTON_STEPS + 1):
-        w = table / (x[: k + 1] @ table)
-        slack = cons @ x
-        obj_grad = a - w.mean(axis=1)
-        grad = -(cons.T @ (1.0 / slack))
-        grad[: k + 1] += tau * obj_grad
-        hess = (cons.T / slack**2) @ cons
-        hess[: k + 1, : k + 1] += (tau / n) * (w @ w.T)
-        rhs = np.column_stack([-grad, np.append(obj_grad, np.zeros(k))])
-        d = 1.0 / np.sqrt(np.diag(hess))
-        sol = d[:, None] * np.linalg.solve(hess * np.outer(d, d), rhs * d[:, None])
-        newton = sol[:, 0]
-        last, dec2 = dec2, float(-grad @ newton)
-        # centred: decrement small, or no longer shrinking quadratically
-        # (rounding in the nearly active slacks sets a floor at large tau)
-        centred = dec2 <= _CENTERING_TOL or (last < 0.0625 and dec2 > 0.5 * last)
-        if not centred:
-            move = newton / (1.0 + math.sqrt(dec2))
-        elif tau >= tau_end:
-            return x, steps
-        else:
-            # predictor to the next centre: along the path the active slacks
-            # shrink like 1/tau, so extrapolate linearly in 1/tau
-            growth = min(_TAU_GROWTH, tau_end / tau)
-            move = newton - (1.0 - 1.0 / growth) * tau * sol[:, 1]
-            tau *= growth
-            dec2 = math.inf
-        h = 1.0
-        while np.any(cons @ (x + h * move) <= 0.0):
-            h *= 0.5
-        x = x + h * move
+        def direction(r_c):
+            v = r_c / s
+            b_t = v[:k] + v[k:-1] - v[-1] - r_t
+            sig_t = (b_t / d).sum()
+            rhs = rho * sig_t * e - r_p + np.append(limit * v[-1], v[k:-1] - v[:k] - e[1:] * b_t)
+            y = scale * (inv @ (scale * rhs))
+            dp = y - (e @ y) * z
+            dt = (b_t - rho * (sig_t - e @ dp)) / d - e[1:] * dp[1:]
+            ds = np.concatenate((dt - dp[1:], dt + dp[1:], [limit * dp[0] - dt.sum()]))
+            return dp, dt, ds, (r_c - lam * ds) / s
+
+        def max_step(ds, dlam):
+            low = min((ds / s).min(), (dlam / lam).min())
+            return math.inf if low >= 0.0 else -1.0 / low
+
+        _, _, ds, dlam = direction(-s * lam)
+        h = min(1.0, max_step(ds, dlam))
+        sigma = (((s + h * ds) @ (lam + h * dlam)) / gap) ** 3
+        if rose:
+            sigma = max(sigma, _SIGMA_FLOOR)
+        dp, dt, ds2, dlam2 = direction(sigma * gap / len(s) - s * lam - ds * dlam)
+        h = min(1.0, _STEP_FRACTION * max_step(ds2, dlam2))
+        p, t, s, lam = p + h * dp, t + h * dt, s + h * ds2, lam + h * dlam2
+        rose = float(s @ lam) > gap
     raise ConvergenceError(
-        f"order-k Newton solve did not converge in {_MAX_NEWTON_STEPS} steps",
-        estimates=(tau, dec2),
+        f"order-k primal-dual solve did not converge in {_MAX_ITERATIONS} iterations",
+        estimates=(gap, max(np.abs(r_p).max(), np.abs(r_t).max())),
     )
 
 
@@ -230,7 +253,7 @@ def tdist_bound_k(cov: CovarianceSequence) -> BoundResult:
     polynomial a.  When that beta lies in the region it is returned as is.
     Otherwise the minimum lies on the region's boundary; the problem is convex
     in the precision coordinates p = (1, beta) / Sigma(beta) and is solved by
-    a damped-Newton barrier method, doubling the quadrature nodes until the
+    a primal-dual interior-point method, doubling the quadrature nodes until the
     value and the duality gap settle to within ``numerics.ABS_TOL``.
     ``duality_gap`` certifies how far the value can be above the true infimum.
     """

@@ -347,7 +347,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:
-        print(f"numerical non-convergence: {exc}", file=sys.stderr)
+        last = ", ".join(str(float(v)) for v in exc.estimates) or "none"
+        print(f"numerical non-convergence: {exc}; last estimates: {last}", file=sys.stderr)
         return 3
 
 

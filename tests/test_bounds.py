@@ -264,3 +264,37 @@ class TestOptimizerQuality:
             assert res.value == pytest.approx(0.5 * math.log(2 * math.pi * math.e * ratio), abs=1e-12)
             assert res.duality_gap == 0.0
         assert interior > 20
+
+
+# covariances on which a naive primal-dual loop failed: an uncondensed Newton
+# matrix that turned singular, separate primal and dual step lengths that
+# cycled, and a 4-cycle of centring weights
+HARD_BOUNDARY_CASES = [
+    (2.6518002229799644, 1.6622134265927049, 0.3396751767810387),
+    (7.668127299233782, -5.011096773882918, 1.8799945656577108, -0.6740648579216126),
+    (6.327508614012353, 3.9576316879367512, 2.698245162255109, 2.8188232022191095, 1.874873583830155),
+    (1.554977971486088, 1.1409297215436254, 0.8910192191689922, 0.32992389429265323, 0.1765149871866966),
+]
+
+
+class TestPrimalDualSolve:
+    @pytest.mark.parametrize("values", HARD_BOUNDARY_CASES)
+    def test_hard_cases_certified_on_the_boundary(self, values):
+        res = tdist_bound_k(CovarianceSequence(values))
+        assert res.optimizer_iterations > 0
+        assert -1e-12 <= res.duality_gap <= 1e-12
+        assert sum(abs(b) for b in res.argmin) == pytest.approx(1.0 - L1_SHRINK, abs=1e-9)
+
+    def test_seeded_sweep_k2_to_k8(self):
+        rng = np.random.default_rng(20240)
+        for _ in range(2000):
+            res = tdist_bound_k(random_ma_covariance(rng, lags=int(rng.integers(2, 9))))
+            assert -1e-12 <= res.duality_gap <= 1e-11
+
+    def test_order4_step_count(self):
+        # the barrier path this solve replaced took about 44 Newton steps
+        rng = np.random.default_rng(4)
+        steps = [tdist_bound_k(random_ma_covariance(rng, lags=4)).optimizer_iterations for _ in range(300)]
+        boundary = [s for s in steps if s]
+        assert len(boundary) > 100
+        assert np.mean(boundary) <= 15

@@ -305,4 +305,6 @@ class TestThreadCapAndErrors:
 
         monkeypatch.setattr(cli, "run_fig1", boom)
         assert run_cli(["fig1", "--out", "-"]) == 3
-        assert "non-convergence" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "non-convergence" in err
+        assert "last estimates: 1.0, 2.0" in err
