@@ -1,13 +1,14 @@
 """Entropy-rate upper bounds in nats.
 
-Three single-letter bounds for discrete-valued stationary processes, all
+Four single-letter bounds for discrete-valued stationary processes, all
 driven by second-order statistics:
 
 * :func:`gaussian_psd_bound` - 1/2 log(2*pi*e) + (1/4pi) Int log(Phi + 1/12),
   needing the full spectral density;
 * :func:`tdist_bound_k` - a minimization over a banded t-reference family,
   needing only the first k autocovariances;
-* :func:`tdist_bound_1` - the closed-form order-1 special case.
+* :func:`tdist_bound_1` - the closed-form order-1 special case;
+* :func:`gaussian_bound_k` - Burg's order-k maximum-entropy value.
 
 Plus the exact Gaussian (Kolmogorov) differential entropy rate and the
 one-dimensional maximum-entropy bound they all degenerate to.
@@ -28,9 +29,14 @@ from .numerics import (
     DomainError,
     integrate_periodic_full,
 )
-from .spectrum import CovarianceSequence, SpectralDensity, levinson_durbin
+from .spectrum import CovarianceSequence, SpectralDensity, closed_form_log_cos_integral, levinson_durbin
 
 LOG_2PI_E = math.log(2.0 * math.pi * math.e)
+
+# In _cosine_log_integral a root within _NEAR_CIRCLE of the unit circle may be
+# a zero of Phi, and a root pair beyond _EXTREME is divided out first.
+_NEAR_CIRCLE, _EXTREME = 1e-3, 1e2
+_EPS = np.finfo(float).eps
 
 # The feasible region sum|beta_m| < 1 is open; the optimizer works on the
 # shrunken closed region sum|beta_m| <= 1 - L1_SHRINK.
@@ -67,29 +73,90 @@ def univariate_me_bound(variance: float) -> float:
     return 0.5 * math.log(2.0 * math.pi * math.e * (variance + 1.0 / 12.0))
 
 
+def _cosine_log_integral(c: np.ndarray) -> float:
+    """(1/2pi) Int log Phi for Phi(lambda) = c_0 + 2 sum_m c_m cos(m*lambda) >= 0.
+
+    Jensen's formula on the palindromic z^q Phi(z), z = e^{i lambda}: log|c_q|
+    plus log|r| over its roots outside the unit circle.  Terms below eps*scale,
+    scale = |c_0| + 2 sum|c_m|, are dropped.  A zero of Phi on the circle is a
+    multiple root, resolved to about eps^(1/m): a root within _NEAR_CIRCLE of
+    the circle where Phi <= 64 eps*scale adds 0, exact for c_0 lowered that
+    much.  The flip c_m -> (-1)^m c_m (Phi(pi - lambda)) keeps the integral;
+    the solve takes the orientation whose first nonzero odd c_m is positive,
+    so the value keeps it bit for bit.
+    """
+    odd = c[1::2][c[1::2] != 0.0]
+    if len(odd) and odd[0] < 0.0:
+        c = c * (-1.0) ** np.arange(len(c))
+    series = 2.0 * c
+    series[0] = c[0]
+    scale = np.abs(series).sum()
+    kept = np.flatnonzero(np.abs(series) > _EPS * scale)
+    q = kept[-1] if len(kept) else 0
+    if q == 0:
+        return math.log(c[0]) if c[0] > 0.0 else -math.inf
+    series = series[: q + 1]
+    poly = np.concatenate((c[q:0:-1], c[: q + 1]))
+    roots = np.roots(poly)
+    big = roots[np.abs(roots) > _EXTREME]
+    # an extreme pair (R, 1/R) grades the companion matrix and blurs the other
+    # roots: forward division by z - 1/R, on poly and on its reversal, removes it
+    for small in 1.0 / big:
+        poly = np.polydiv(poly, [1.0, -small])[0]
+        poly = np.polydiv(poly[::-1], [1.0, -small])[0][::-1]
+    if len(big):
+        roots = np.concatenate((big, np.roots(poly)))
+    outside = roots[np.abs(roots) > 1.0]
+    logs = np.log(np.abs(outside))
+    near = logs < _NEAR_CIRCLE
+    if near.any():
+        phi = series @ np.cos(np.multiply.outer(np.arange(q + 1), np.angle(outside[near])))
+        logs[near] = np.where(phi <= 64.0 * _EPS * scale, 0.0, logs[near])
+    return math.log(abs(c[q])) + float(logs.sum())
+
+
 class _PsdZero(Exception):
     pass
 
 
-def gaussian_entropy_rate(psd: SpectralDensity) -> float:
-    """Exact differential entropy rate of the Gaussian process with this PSD.
-
-    1/2 log(2*pi*e) + (1/4pi) Int_0^{2pi} log Phi(lambda) d lambda.  Returns
-    -inf when the quadrature meets a nonpositive PSD value (a PSD touching
-    zero makes the log integrand singular there).
+def _log_integral(psd: SpectralDensity, shift: float) -> tuple[float, float]:
+    """(1/2pi) Int log(Phi + shift) and its error estimate.  A Markov mixture is
+    (A + B cos) / (1 + w^2 - 2w cos), whose denominator's log integrates to 0;
+    only a callable PSD runs the quadrature (-inf if it meets Phi + shift <= 0).
     """
+    if psd.kind == "cosine_series":
+        c = np.array(psd.coefficients)
+        c[0] += shift
+        return _cosine_log_integral(c), 0.0
+    if psd.kind == "markov_mixture":
+        a, b, w = psd.mixture
+        big_a = a * (1.0 - w * w) + (b + shift) * (1.0 + w * w)
+        if not big_a > 0.0:
+            return -math.inf, 0.0
+        ratio = max(-1.0, min(1.0, -2.0 * w * (b + shift) / big_a))
+        return math.log(big_a) + closed_form_log_cos_integral(ratio), 0.0
 
     def integrand(lam):
-        vals = np.asarray(psd(lam), dtype=float)
-        if np.any(vals <= 0.0) or not np.all(np.isfinite(vals)):
+        vals = np.asarray(psd(lam), dtype=float) + shift
+        if not np.all((vals > 0.0) & np.isfinite(vals)):
             raise _PsdZero
         return np.log(vals)
 
     try:
         q = integrate_periodic_full(integrand)
     except _PsdZero:
-        return -math.inf
-    return 0.5 * LOG_2PI_E + q.value / (2.0 * TWO_PI)
+        return -math.inf, 0.0
+    return q.value / TWO_PI, q.error_estimate / TWO_PI
+
+
+def gaussian_entropy_rate(psd: SpectralDensity) -> float:
+    """Exact differential entropy rate of the Gaussian process with this PSD.
+
+    1/2 log(2*pi*e) + (1/4pi) Int_0^{2pi} log Phi(lambda) d lambda (Kolmogorov-
+    Szego).  A zero of Phi is an integrable log singularity: the rate of a
+    cosine series or Markov mixture is finite unless Phi vanishes identically.
+    """
+    return 0.5 * (LOG_2PI_E + _log_integral(psd, 0.0)[0])
 
 
 def gaussian_psd_bound(psd: SpectralDensity) -> BoundResult:
@@ -98,17 +165,8 @@ def gaussian_psd_bound(psd: SpectralDensity) -> BoundResult:
     1/2 log(2*pi*e) + (1/4pi) Int log(Phi(lambda) + 1/12); always finite
     because the shifted integrand is bounded below by log(1/12).
     """
-
-    def integrand(lam):
-        return np.log(np.asarray(psd(lam), dtype=float) + 1.0 / 12.0)
-
-    q = integrate_periodic_full(integrand)
-    return BoundResult(
-        value=0.5 * LOG_2PI_E + q.value / (2.0 * TWO_PI),
-        argmin=None,
-        quadrature_error_estimate=q.error_estimate / (2.0 * TWO_PI),
-        optimizer_iterations=0,
-    )
+    value, error = _log_integral(psd, 1.0 / 12.0)
+    return BoundResult(value=0.5 * (LOG_2PI_E + value), quadrature_error_estimate=0.5 * error)
 
 
 def tdist_bound_1(r0: float, r1: float) -> BoundResult:
@@ -238,6 +296,23 @@ def _dual_bound(a: np.ndarray, beta: np.ndarray, table: np.ndarray, limit: float
     return 0.5 * (LOG_2PI_E + math.log(err))
 
 
+def _burg(cov: CovarianceSequence) -> tuple[np.ndarray, np.ndarray, float]:
+    """(R(0) + 1/12, R(1..k)), its Levinson-Durbin prediction polynomial and error."""
+    a = np.asarray(cov.values, dtype=float)
+    a[0] += 1.0 / 12.0
+    poly, kappas, err = levinson_durbin(a)
+    if kappas and not abs(kappas[-1]) < 1.0:
+        raise DomainError("Toeplitz matrix of R(0..k) + I/12 is not positive definite")
+    return a, poly, err
+
+
+def gaussian_bound_k(cov: CovarianceSequence) -> BoundResult:
+    """Burg's bound 1/2 log(2*pi*e*sigma_k^2), sigma_k^2 the order-k prediction
+    error of the dithered covariances (R(0) + 1/12, R(1..k)): no process with
+    them beats the Gaussian AR(k) (Cover & Thomas, Thm 12.6.1)."""
+    return BoundResult(value=0.5 * (LOG_2PI_E + math.log(_burg(cov)[2])))
+
+
 def tdist_bound_k(cov: CovarianceSequence) -> BoundResult:
     """Order-k bound from the covariances [R(0), ..., R(k)].
 
@@ -258,13 +333,9 @@ def tdist_bound_k(cov: CovarianceSequence) -> BoundResult:
     ``duality_gap`` certifies how far the value can be above the true infimum.
     """
     k = cov.k
-    a = np.asarray(cov.values, dtype=float)
     if k == 0:
-        return BoundResult(value=univariate_me_bound(a[0]), argmin=[])
-    a[0] += 1.0 / 12.0
-    poly, kappas, err = levinson_durbin(a)
-    if not abs(kappas[-1]) < 1.0:
-        raise DomainError("Toeplitz matrix of R(0..k) + I/12 is not positive definite")
+        return BoundResult(value=univariate_me_bound(cov.values[0]), argmin=[])
+    a, poly, err = _burg(cov)
     c = np.correlate(poly, poly, "full")[k:]
     beta = 2.0 * c[1:] / c[0]
     limit = 1.0 - L1_SHRINK

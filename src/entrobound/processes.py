@@ -319,6 +319,11 @@ def _cell_grid(weight_sigma: float, slope: float, nodes_per_cell: int):
     return s, weights
 
 
+# Erfc terms allowed on the top level (512 nodes a jump cell) of the cellwise
+# quadrature below; fig4 --nu 0 stops on MAX_JOINT_CELLS at about 6.4e8.
+MAX_CELL_ERFC = 2**30
+
+
 def _quantized_lag_covariance(
     weight_sigma: float,
     slope_a: float,
@@ -340,6 +345,9 @@ def _quantized_lag_covariance(
     if sd_b == 0.0:
         slope_a, sd_a, slope_b, sd_b = slope_b, sd_b, slope_a, sd_a
     if sd_a == 0.0:
+        cost = 512 * (16.0 * weight_sigma * abs(slope_a) + 3.0) * _tail_halfwidth(sd_b)
+        if cost > MAX_CELL_ERFC:
+            raise DomainError(f"the cell grid needs {cost:.3g} erfc terms, over {MAX_CELL_ERFC}")
         nodes = 8
         prev = math.inf
         est = math.inf

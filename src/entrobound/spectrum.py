@@ -11,6 +11,7 @@ import numpy as np
 from .numerics import TWO_PI, DomainError, _eval_vectorized
 
 _VALIDATION_GRID = 4096
+_GRID = TWO_PI * np.arange(_VALIDATION_GRID) / _VALIDATION_GRID
 _NEGATIVITY_SLACK = 1e-9
 
 
@@ -88,11 +89,11 @@ class SpectralDensity:
     at construction; instances are immutable and shareable across threads.
     """
 
-    def __init__(self, evaluate: Callable, kind: str, truncated: bool = False):
+    def __init__(self, evaluate: Callable, kind: str, truncated: bool = False, grid_values=None):
         self._evaluate = evaluate
         self.kind = kind
         self.truncated = truncated
-        self._validate()
+        self._validate(self._evaluate(_GRID) if grid_values is None else grid_values)
 
     @classmethod
     def cosine_series(
@@ -106,11 +107,13 @@ class SpectralDensity:
 
         def evaluate(lam):
             lam = np.asarray(lam, dtype=float)
-            if len(c) == 1:
-                return np.full(lam.shape, c[0])
             return c[0] + 2.0 * np.cos(np.multiply.outer(lam, orders)) @ c[1:]
 
-        psd = cls(evaluate, kind="cosine_series", truncated=truncated)
+        # Phi is even: its values on [0, pi] from one real FFT, at a multiple
+        # of the grid size when the series is longer than the grid
+        n = _VALIDATION_GRID * -(-len(c) // _VALIDATION_GRID)
+        half = 2.0 * np.fft.rfft(c, n)[:: n // _VALIDATION_GRID].real - c[0]
+        psd = cls(evaluate, kind="cosine_series", truncated=truncated, grid_values=half)
         psd.coefficients = tuple(c)
         return psd
 
@@ -134,9 +137,9 @@ class SpectralDensity:
         """A PSD from a vectorized or scalar-only callable of lambda."""
         return cls(lambda lam: _eval_vectorized(fn, lam), kind="callable")
 
-    def _validate(self):
-        grid = TWO_PI * np.arange(_VALIDATION_GRID) / _VALIDATION_GRID
-        vals = self._evaluate(grid)
+    def _validate(self, vals):
+        """Check the values on the first len(vals) points of the grid."""
+        grid = _GRID[: len(vals)]
         if not np.all(np.isfinite(vals)):
             bad = grid[~np.isfinite(vals)][0]
             raise PsdValidationError(f"PSD is non-finite at lambda = {bad:.6f}")

@@ -6,14 +6,21 @@ from scipy import integrate
 
 from entrobound.bounds import (
     L1_SHRINK,
+    gaussian_bound_k,
     gaussian_entropy_rate,
     gaussian_psd_bound,
     tdist_bound_1,
     tdist_bound_k,
     univariate_me_bound,
 )
-from entrobound.numerics import DomainError
-from entrobound.spectrum import CovarianceSequence, SpectralDensity
+from entrobound.numerics import ConvergenceError, DomainError
+from entrobound.processes import BinomialEmission, TwoStateHmm, hmm_psd
+from entrobound.spectrum import (
+    CovarianceSequence,
+    SpectralDensity,
+    levinson_durbin,
+    psd_from_finite_covariance,
+)
 
 from conftest import random_ma_covariance
 
@@ -50,9 +57,104 @@ class TestGaussianEntropyRate:
         psd = SpectralDensity.cosine_series([4.0])
         assert gaussian_entropy_rate(psd) == pytest.approx(2.1120857, abs=1e-6)
 
-    def test_vanishing_psd_gives_minus_infinity(self):
-        psd = SpectralDensity.cosine_series([2.0, 1.0])  # zero at lambda = pi
-        assert gaussian_entropy_rate(psd) == -math.inf
+    def test_vanishing_psd_gives_innovation_entropy(self):
+        # 2 +- 2 cos is zero at lambda = pi (or 0), but log Phi is integrable
+        # there: the MA(1) with theta = +-1 has unit innovations (Kolmogorov-Szego)
+        for c1 in (1.0, -1.0):
+            psd = SpectralDensity.cosine_series([2.0, c1])
+            assert gaussian_entropy_rate(psd) == pytest.approx(0.5 * LOG_2PI_E, abs=1e-12)
+
+    @pytest.mark.parametrize("c", [[3.0, 2.0, 1.0], [6.0, 4.0, 1.0], [6.0, -4.0, 1.0]])
+    def test_multiple_zeros_on_the_circle(self, c):
+        # |1 + z + z^2|^2 (two double zeros) and |1 +- z|^4 (a fourfold zero)
+        psd = SpectralDensity.cosine_series(c)
+        assert gaussian_entropy_rate(psd) == pytest.approx(0.5 * LOG_2PI_E, abs=1e-12)
+
+    def test_only_a_vanishing_series_gives_minus_infinity(self):
+        assert gaussian_entropy_rate(SpectralDensity.cosine_series([0.0, 0.0])) == -math.inf
+        assert gaussian_entropy_rate(SpectralDensity.markov_mixture(0.0, 0.0, 0.5)) == -math.inf
+
+
+def quadrature_oracle(psd: SpectralDensity) -> SpectralDensity:
+    """The same PSD as a callable, which the bounds integrate by quadrature."""
+    return SpectralDensity.from_callable(psd)
+
+
+# Known defect (c) of the quadrature: the PSD's minimum is 3.0e-11
+DEFECT_C = (0.8671189766904396, 0.42217425418268545, 0.20994707107442728, -0.11749767076109953)
+
+
+class TestClosedFormsAgainstQuadrature:
+    def test_random_cosine_series(self):
+        rng = np.random.default_rng(1010)
+        rates = 0
+        for _ in range(300):
+            psd = psd_from_finite_covariance(random_ma_covariance(rng, max_lags=8))
+            oracle = quadrature_oracle(psd)
+            assert gaussian_psd_bound(psd).value == pytest.approx(
+                gaussian_psd_bound(oracle).value, abs=1e-12
+            )
+            try:
+                expected = gaussian_entropy_rate(oracle)
+            except ConvergenceError:
+                continue
+            if math.isfinite(expected):
+                rates += 1
+                assert gaussian_entropy_rate(psd) == pytest.approx(expected, abs=1e-10)
+        assert rates > 250
+
+    def test_graded_cosine_series(self):
+        # a tiny end MA coefficient puts a root pair near 0 and infinity
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            k = int(rng.integers(1, 7))
+            a = rng.uniform(-3.0, 3.0, size=k + 1)
+            a[rng.integers(0, 2) * k] *= 10.0 ** rng.uniform(-16.0, -4.0)
+            psd = SpectralDensity.cosine_series([np.dot(a[: k + 1 - m], a[m:]) for m in range(k + 1)])
+            assert gaussian_psd_bound(psd).value == pytest.approx(
+                gaussian_psd_bound(quadrature_oracle(psd)).value, abs=1e-12
+            )
+
+    @pytest.mark.parametrize("gammas", [(0.1, 0.3), (0.7, 0.6), (0.01, 0.02)])
+    def test_markov_mixture(self, gammas):
+        model = TwoStateHmm(*gammas, BinomialEmission(10, 0.2, 0.8))
+        psd = hmm_psd(model)
+        oracle = quadrature_oracle(psd)
+        assert gaussian_psd_bound(psd).value == pytest.approx(gaussian_psd_bound(oracle).value, abs=1e-12)
+        assert gaussian_entropy_rate(psd) == pytest.approx(gaussian_entropy_rate(oracle), abs=1e-12)
+
+    def test_defect_c(self):
+        cov = CovarianceSequence(DEFECT_C)
+        psd = psd_from_finite_covariance(cov)
+        assert gaussian_psd_bound(psd).value == pytest.approx(1.19913440138779, abs=1e-12)
+        rate = gaussian_entropy_rate(psd)
+        assert rate == pytest.approx(0.97545597, abs=1e-8)
+        # Levinson-Durbin on the zero-padded sequence falls to the rate from above
+        for order in (10, 100, 1000):
+            padded = np.zeros(order + 1)
+            padded[: cov.k + 1] = cov.values
+            err = levinson_durbin(padded)[2]
+            assert rate <= 0.5 * (LOG_2PI_E + math.log(err))
+
+
+class TestGaussianBoundK:
+    def test_no_lags_is_univariate(self):
+        value = gaussian_bound_k(CovarianceSequence((1.5,))).value
+        assert value == pytest.approx(univariate_me_bound(1.5), abs=1e-15)
+
+    def test_interior_optimum_equals_tdist(self, rng):
+        # where Burg's solution lies inside the l1 region, tdist_bound_k is it
+        for _ in range(50):
+            cov = random_ma_covariance(rng, max_lags=6)
+            res = tdist_bound_k(cov)
+            if res.optimizer_iterations == 0:
+                assert gaussian_bound_k(cov).value == res.value
+
+    def test_order1_closed_form(self):
+        r0, r1 = 2.0, 0.9
+        sig = r0 + 1.0 / 12.0
+        expected = 0.5 * (LOG_2PI_E + math.log(sig - r1 * r1 / sig))
+        assert gaussian_bound_k(CovarianceSequence((r0, r1))).value == pytest.approx(expected, abs=1e-15)
 
 
 class TestGaussianPsdBound:

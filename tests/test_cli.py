@@ -155,6 +155,15 @@ class TestBoundPsd:
         assert records["gaussian_psd_bound"]["value"] > records["gaussian_entropy_rate"]["value"]
         assert "zero" in records["gaussian_psd_bound"]["note"]
 
+    def test_defect_c_exits_zero(self, tmp_path, capsys):
+        # the PSD's minimum is 3.0e-11: the periodic quadrature never settled
+        src = tmp_path / "cov.txt"
+        src.write_text("0.8671189766904396,0.42217425418268545,0.20994707107442728,-0.11749767076109953\n")
+        assert run_cli(["bound-psd", "--input", str(src), "--out", "-"]) == 0
+        rows = {row[0]: row[1] for row in (line.split(",") for line in capsys.readouterr().out.splitlines())}
+        assert rows["gaussian_psd_bound"] == "1.1991344"
+        assert float(rows["gaussian_entropy_rate"]) == pytest.approx(0.97545597, abs=1e-8)
+
 
 class TestGridValidation:
     def test_bad_step(self, capsys):
@@ -207,12 +216,19 @@ class TestGridValidation:
 class TestNonFiniteJson:
     def test_vanishing_psd_rate_serializes(self, tmp_path):
         src = tmp_path / "cov.txt"
-        src.write_text("2.0,1.0\n")  # PSD touches zero: exact rate is -inf
+        src.write_text("2.0,1.0\n")  # PSD touches zero at pi; log Phi is integrable there
         out = tmp_path / "out.json"
         assert run_cli(["bound-psd", "--input", str(src), "--out", str(out), "--format", "json"]) == 0
         records = {r["quantity"]: r for r in json.loads(out.read_text())}
-        assert records["gaussian_entropy_rate"]["value"] == "-inf"
+        assert records["gaussian_entropy_rate"]["value"] == 1.41893853  # 1/2 log(2 pi e)
         assert isinstance(records["gaussian_psd_bound"]["value"], float)
+
+    def test_writer_serializes_non_finite_values(self, tmp_path):
+        out = tmp_path / "out.json"
+        rows = [["a", -math.inf, ""], ["b", math.inf, ""], ["c", math.nan, ""], ["d", 1.5, ""]]
+        cli._write_table(str(out), ["quantity", "value", "note"], rows, "json")
+        values = [r["value"] for r in json.loads(out.read_text())]
+        assert values == ["-inf", "inf", "nan", 1.5]
 
 
 class TestSimulate:

@@ -36,14 +36,25 @@ def test_import_loads_no_scipy_module(module, tmp_path):
     assert scipy_modules_after(f"import {module}", tmp_path) == ""
 
 
+# covariance files for bound-cov and bound-psd: a generic sequence, a PSD with
+# a double zero at pi, and one whose PSD's minimum is 3.0e-11
+_COVARIANCES = {
+    "cov.txt": "1.0,0.5,0.2,-0.1",
+    "touching.txt": "2.0,1.0",
+    "defect_c.txt": "0.8671189766904396,0.42217425418268545,0.20994707107442728,-0.11749767076109953",
+}
+
+
 @pytest.mark.parametrize(
     "argv",
-    [["fig1"], ["bound-cov", "--input", "cov.txt"], ["bound-psd", "--input", "cov.txt"]]
+    [["fig1"], ["bound-cov", "--input", "cov.txt"]]
+    + [["bound-psd", "--input", name] for name in _COVARIANCES]
     + [["simulate", "--model", m, "-n", "1000"] for m in _SIMULATE_MODELS],
     ids=lambda argv: " ".join(argv[:3]),
 )
 def test_commands_without_gaussian_cells_load_no_scipy_module(argv, tmp_path):
-    (tmp_path / "cov.txt").write_text("1.0,0.5,0.2,-0.1\n")
+    for name, values in _COVARIANCES.items():
+        (tmp_path / name).write_text(values + "\n")
     assert scipy_modules_after(_MAIN.format(argv=argv), tmp_path) == ""
 
 

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -704,6 +705,31 @@ class TestLagCovarianceAtLargeScale:
         var0 = sigma * sigma / (1.0 - phi * phi)
         oracle = float(quantized_cross_moment(var0 + nu * nu, var0 + nu * nu, phi**k * var0))
         assert qar_rk(QuantizedArModel(sigma, phi, nu), k) == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
+    def test_cell_grid_limit_raises_quickly(self):
+        # at nu = 0 one factor is a bare staircase, and the cell grid's cost
+        # grows like sigma^2: sigma = 3000 once ran for minutes
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="erfc terms, over"):
+            qar_rk(QuantizedArModel(3000.0, 0.5, 0.0), 1)
+        assert time.perf_counter() - start < 1.0
+
+    def test_cell_grid_limit_is_above_fig4_reach(self, monkeypatch):
+        # fig4 --nu 0 stops on the joint-table limit past sigma0 = 102.1, the
+        # marginal scale of H_CE_AR; up to there the cell grid must still run
+        from entrobound import processes
+
+        class Reached(Exception):
+            pass
+
+        def reached(mu, sd):
+            raise Reached
+
+        with pytest.raises(DomainError, match="joint table"):
+            processes.qar_conditional_entropy.__wrapped__(QuantizedArModel(102.2 * math.sqrt(1 - 0.99**2), 0.99, 0.0))
+        monkeypatch.setattr(processes, "_quantizer_mean", reached)
+        with pytest.raises(Reached):
+            processes._quantized_lag_covariance(102.1, 1.0, 0.0, 0.99, 102.1)
 
     def test_doubling_stops_early_at_large_scale(self, monkeypatch):
         # with the absolute tolerance alone sigma = 3000 took 4,098 nodes of

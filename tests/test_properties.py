@@ -4,15 +4,21 @@ Each covariance is the autocorrelation of an MA coefficient vector, so its
 zero-extended spectral density is |hat c|^2 >= 0 and every route accepts it.
 """
 
-import math
+import contextlib
+import io
+import os
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entrobound import (
     CovarianceSequence,
+    DomainError,
+    cli,
+    gaussian_bound_k,
     gaussian_entropy_rate,
     gaussian_psd_bound,
     psd_from_finite_covariance,
@@ -21,7 +27,6 @@ from entrobound import (
     toeplitz_gaussian_bound_finite,
     univariate_me_bound,
 )
-from entrobound.numerics import ConvergenceError
 
 SLACK = 1e-9  # the bench's invariant slack
 
@@ -39,16 +44,16 @@ def ma_covariance(c) -> CovarianceSequence:
     return CovarianceSequence(tuple(float(np.dot(c[: k + 1 - m], c[m:])) for m in range(k + 1)))
 
 
-def rate_or_none(cov):
-    # the rate's quadrature can fail where the PSD nearly touches zero
-    try:
-        return gaussian_entropy_rate(psd_from_finite_covariance(cov))
-    except ConvergenceError:
-        return None
+def rate(cov):
+    return gaussian_entropy_rate(psd_from_finite_covariance(cov))
 
 
 @property_settings
 @given(coefficients)
+@example([1.0, 1.0, 1.0])  # two double zeros of the PSD on the unit circle
+@example([1.0, 1.0])  # a double zero at lambda = pi, which the flip moves to 0
+@example([1.0, 0.0, 0.0, 1.0, 1e-05])  # three near-double zeros, one extreme root
+@example([5.960464477539063e-08, 0.75, 0.0, 0.75])  # double zeros and an extreme root
 def test_alternating_sign_flip_leaves_every_bound_unchanged(c):
     # R_m -> (-1)^m R_m is the process (-1)^n X_n: its PSD is Phi(pi - lambda)
     cov = ma_covariance(c)
@@ -65,12 +70,7 @@ def test_alternating_sign_flip_leaves_every_bound_unchanged(c):
     assert toeplitz_gaussian_bound_finite(flip, 64) == pytest.approx(
         toeplitz_gaussian_bound_finite(cov, 64), abs=1e-12
     )
-    rate, rate_flip = rate_or_none(cov), rate_or_none(flip)
-    if rate is not None and rate_flip is not None:
-        if math.isinf(rate):
-            assert rate_flip == rate
-        else:
-            assert rate_flip == pytest.approx(rate, abs=1e-12)
+    assert rate(flip) == pytest.approx(rate(cov), abs=1e-12)
 
 
 @property_settings
@@ -90,6 +90,49 @@ def test_rate_below_psd_bound_below_tdist_bound(c):
     cov = ma_covariance(c)
     psd_value = gaussian_psd_bound(psd_from_finite_covariance(cov)).value
     assert psd_value <= tdist_bound_k(cov).value + SLACK
-    rate = rate_or_none(cov)
-    if rate is not None:
-        assert rate <= psd_value + SLACK
+    assert rate(cov) <= psd_value + SLACK
+
+
+@property_settings
+@given(coefficients)
+def test_gaussian_bound_k_does_not_increase_with_k(c):
+    cov = ma_covariance(c)
+    values = [gaussian_bound_k(CovarianceSequence(cov.values[: j + 1])).value for j in range(cov.k + 1)]
+    for lower, higher in zip(values[1:], values[:-1]):
+        assert lower <= higher
+
+
+@property_settings
+@given(coefficients)
+@example([1.0, 0.0, 1.0, 1.4196112600886954e-40])  # a last covariance of 1.4e-40
+def test_psd_bound_below_gaussian_bound_k_below_tdist_bound(c):
+    cov = ma_covariance(c)
+    gaussian = gaussian_bound_k(cov).value
+    assert gaussian_psd_bound(psd_from_finite_covariance(cov)).value <= gaussian + SLACK
+    assert gaussian <= tdist_bound_k(cov).value + SLACK
+
+
+@property_settings
+@given(
+    st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=1, max_size=6),
+    st.data(),
+    st.floats(1e-6, 10.0),
+    st.sampled_from([1.0, -1.0]),
+)
+def test_lag_above_r0_is_rejected_on_every_route(rho, data, excess, sign):
+    # |R_m| > R_0 for some m: the 2 x 2 minor on rows 0 and m is negative
+    m = data.draw(st.integers(1, len(rho)))
+    values = [1.0] + rho
+    values[m] = sign * (1.0 + excess)
+    with pytest.raises(DomainError):
+        CovarianceSequence(tuple(values))
+    if m == 1:
+        with pytest.raises(DomainError):
+            tdist_bound_1(values[0], values[1])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cov.txt")
+        with open(path, "w") as f:
+            f.write(",".join(repr(v) for v in values) + "\n")
+        for command in ("bound-cov", "bound-psd"):
+            with contextlib.redirect_stderr(io.StringIO()):
+                assert cli.main([command, "--input", path, "--out", os.path.join(tmp, "out.csv")]) == 2

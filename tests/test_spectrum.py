@@ -63,6 +63,16 @@ class TestPsdFromFiniteCovariance:
             psd_from_finite_covariance(CovarianceSequence((1.0, 0.9)))
         assert "lambda" in str(err.value)
 
+    def test_series_longer_than_the_grid(self):
+        # 1 + 2 a cos(4500 lambda) reaches 1 - 2a on the 4096-point grid
+        c = np.zeros(4501)
+        c[0] = 1.0
+        c[4500] = 0.4
+        assert SpectralDensity.cosine_series(c)(0.0) == pytest.approx(1.8)
+        c[4500] = 0.6
+        with pytest.raises(PsdValidationError):
+            SpectralDensity.cosine_series(c)
+
     def test_truncation_flag(self):
         psd = psd_from_finite_covariance(CovarianceSequence((1.0, 0.2)), complete=False)
         assert psd.truncated
