@@ -14,12 +14,13 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 SQRT2 = math.sqrt(2.0)
 
-# Node budget and tolerances of the adaptive quadratures below, shared by the
-# node doublings in ``bounds`` and ``processes``: a doubling stops once two
-# successive estimates differ by less than ABS_TOL, or by less than REL_TOL of
-# the estimate when that is larger (|estimate| above 1e4, where the rounding
-# of the sum itself exceeds ABS_TOL), and gives up with ConvergenceError
-# beyond MAX_POINTS nodes.
+# Node budget and tolerances of the node doublings: the periodic quadrature
+# below stops once two successive estimates differ by less than ABS_TOL, or by
+# less than REL_TOL of the estimate when that is larger (|estimate| above 1e4,
+# where the rounding of the sum itself exceeds ABS_TOL), and gives up with
+# ConvergenceError beyond MAX_POINTS nodes.  The order-k doubling in ``bounds``
+# shares MAX_POINTS and ABS_TOL, the conditional-entropy one in ``processes``
+# MAX_POINTS.
 MAX_POINTS = 2**21
 ABS_TOL = 1e-9
 REL_TOL = 1e-13
@@ -123,41 +124,3 @@ def integrate_periodic_full(f: Callable) -> QuadratureResult:
 def integrate_periodic(f: Callable) -> float:
     """Value-only wrapper around :func:`integrate_periodic_full`."""
     return integrate_periodic_full(f).value
-
-
-# Half-width multiplier for Gaussian truncation: mass beyond 8 sigma is ~1.2e-15,
-# far below the quadrature tolerance.
-GAUSSIAN_CUTOFF_SIGMAS = 8.0
-
-
-def integrate_gaussian_weighted(g: Callable, sigma: float) -> float:
-    """Integrate g(s) * N(s; 0, sigma^2) ds over the real line.
-
-    The domain is truncated to [-8*sigma, 8*sigma] (neglected tail mass
-    below 1e-12) and integrated by the composite trapezoid rule, doubling
-    the panels and reusing the previous nodes until two successive estimates
-    differ by less than ``ABS_TOL`` (relatively ``REL_TOL`` for large values).
-    """
-    if not sigma > 0:
-        raise DomainError(f"sigma must be positive, got {sigma!r}")
-    c = GAUSSIAN_CUTOFF_SIGMAS * sigma
-    norm = 1.0 / (sigma * math.sqrt(TWO_PI))
-
-    def integrand(s):
-        return _eval_vectorized(g, s) * (norm * np.exp(-0.5 * (s / sigma) ** 2))
-
-    n = 32  # panels
-    fx = _finite_values(integrand, np.linspace(-c, c, n + 1))
-    est = (2.0 * c / n) * (0.5 * fx[0] + fx[1:-1].sum() + 0.5 * fx[-1])
-    prev = math.inf
-    while n <= MAX_POINTS:
-        if converged(est, prev):
-            return float(est)
-        fmid = _finite_values(integrand, -c + 2.0 * c * (np.arange(n) + 0.5) / n)
-        n *= 2
-        prev = est
-        est = 0.5 * est + (2.0 * c / n) * float(fmid.sum())
-    raise ConvergenceError(
-        f"Gaussian-weighted quadrature did not converge within {MAX_POINTS} nodes",
-        estimates=(prev, est),
-    )

@@ -26,8 +26,6 @@ from .numerics import (
     SQRT2,
     ConvergenceError,
     DomainError,
-    converged,
-    integrate_gaussian_weighted,
 )
 from .spectrum import CovarianceSequence, SpectralDensity
 
@@ -231,68 +229,6 @@ def _chunk_rows(ncols: int) -> int:
     return max(1, min(_CHUNK, _BLOCK_ELEMENTS // ncols))
 
 
-# Largest half-width, in cells, of any index range the Gaussian-cell kernels
-# build (a scale near 1e5).  Beyond it a kernel raises DomainError before
-# allocating; every row of the paper's figures stays far below.
-MAX_HALFWIDTH = 2**20
-
-
-def _checked_halfwidth(halfwidth: int, scale: float) -> int:
-    if halfwidth > MAX_HALFWIDTH:
-        raise DomainError(
-            f"a Gaussian scale of {scale:.6g} needs {halfwidth} cells on each side, "
-            f"over the limit of {MAX_HALFWIDTH}"
-        )
-    return halfwidth
-
-
-def _tail_halfwidth(sd: float) -> int:
-    """Terms of an erfc tail sum at scale sd whose remainder is below 1e-12."""
-    return _checked_halfwidth(int(math.ceil(sd * math.sqrt(-2.0 * math.log(1e-12)))) + 2, sd)
-
-
-def _quantizer_mean(mu: np.ndarray, sd: float) -> np.ndarray:
-    """E[Q(Z)] for Z ~ N(mu, sd^2), vectorized over mu.
-
-    Summation by parts around c = round(mu), with d = mu - c in [-1/2, 1/2]:
-
-        E[Q(Z)] = c + 1/2 sum_{j>=1} [erfc((j - 1/2 - d) / (sqrt2 sd))
-                                      - erfc((j - 1/2 + d) / (sqrt2 sd))],
-
-    where every erfc argument is non-negative.  The sum stops after
-    ~sd*sqrt(-2 log 1e-12) terms; the neglected mass is below 1e-12.
-    """
-    mu = np.asarray(mu, dtype=float)
-    if sd == 0.0:
-        return np.ceil(mu - 0.5)
-    half = np.arange(_tail_halfwidth(sd)) + 0.5  # j - 1/2, j >= 1
-    inv = 1.0 / (SQRT2 * sd)
-    c = np.rint(mu)
-    d = (mu - c)[:, None]
-    chunk = _chunk_rows(len(half))
-    out = np.empty_like(mu)
-    for start in range(0, len(mu), chunk):
-        dc = d[start : start + chunk]
-        diff = _erfc((half - dc) * inv) - _erfc((half + dc) * inv)
-        out[start : start + chunk] = c[start : start + chunk] + 0.5 * diff.sum(axis=1)
-    return out
-
-
-def _quantized_second_moment(scale: float) -> float:
-    """E[Q(Z)^2] for Z ~ N(0, scale^2), in closed form:
-
-        E[Q(Z)^2] = sum_{j>=1} (2j - 1) erfc((j - 1/2) / (sqrt2 scale)),
-
-    summation by parts of the symmetric cell masses, truncated where the
-    neglected terms fall below 1e-12 of the sum.
-    """
-    if scale <= 0.0:
-        return 0.0
-    j = np.arange(1, _tail_halfwidth(scale) + 1)
-    terms = (2 * j - 1) * _erfc((j - 0.5) / (SQRT2 * scale))
-    return float(terms.sum())
-
-
 def _cell_grid(weight_sigma: float, slope: float, nodes_per_cell: int):
     """Gauss-Legendre nodes and weights on [-8w, 8w], split at the jumps of
     Q(slope * s), i.e. at s = (j + 1/2) / slope; weights include the N(0, w^2)
@@ -319,59 +255,21 @@ def _cell_grid(weight_sigma: float, slope: float, nodes_per_cell: int):
     return s, weights
 
 
-# Erfc terms allowed on the top level (512 nodes a jump cell) of the cellwise
-# quadrature below; fig4 --nu 0 stops on MAX_JOINT_CELLS at about 6.4e8.
-MAX_CELL_ERFC = 2**30
-
-
-def _quantized_lag_covariance(
-    weight_sigma: float,
-    slope_a: float,
-    sd_a: float,
-    slope_b: float,
-    sd_b: float,
-) -> float:
-    """E over s ~ N(0, weight_sigma^2) of E[Q(slope_a*s + A)] E[Q(slope_b*s + B)]
-
-    with A ~ N(0, sd_a^2) and B ~ N(0, sd_b^2) independent.  A vanishing sd
-    turns the corresponding factor into the bare staircase Q(slope*s); the
-    integral is then split at the jumps and done cell by cell."""
-    if sd_a == 0.0 and slope_a == 0.0:
-        return 0.0  # one factor is identically Q(0) = 0
-    if sd_b == 0.0 and slope_b == 0.0:
-        return 0.0
-    if sd_a == 0.0 and sd_b == 0.0:
-        raise DomainError("at least one factor must carry Gaussian smoothing")
-    if sd_b == 0.0:
-        slope_a, sd_a, slope_b, sd_b = slope_b, sd_b, slope_a, sd_a
-    if sd_a == 0.0:
-        cost = 512 * (16.0 * weight_sigma * abs(slope_a) + 3.0) * _tail_halfwidth(sd_b)
-        if cost > MAX_CELL_ERFC:
-            raise DomainError(f"the cell grid needs {cost:.3g} erfc terms, over {MAX_CELL_ERFC}")
-        nodes = 8
-        prev = math.inf
-        est = math.inf
-        while nodes <= 512:
-            s, w = _cell_grid(weight_sigma, slope_a, nodes)
-            vals = np.ceil(slope_a * s - 0.5) * _quantizer_mean(slope_b * s, sd_b)
-            prev = est
-            est = float(w @ vals)
-            if converged(est, prev):
-                return est
-            nodes *= 2
-        raise ConvergenceError(
-            "cellwise quadrature did not converge", estimates=(prev, est)
-        )
-
-    def g(s):
-        return _quantizer_mean(slope_a * s, sd_a) * _quantizer_mean(slope_b * s, sd_b)
-
-    return integrate_gaussian_weighted(g, weight_sigma)
+# Largest half-width, in cells, of the index box the Gaussian-cell kernels
+# build (a scale near 1e5).  Beyond it a kernel raises DomainError before
+# allocating; every row of the paper's figures stays far below.
+MAX_HALFWIDTH = 2**20
 
 
 def _box_halfwidth(scale: float) -> int:
     """Half-width of the index box |i| <= 10*scale + 2 holding a pmf of scale."""
-    return _checked_halfwidth(int(math.ceil(10.0 * scale)) + 2, scale)
+    halfwidth = int(math.ceil(10.0 * scale)) + 2
+    if halfwidth > MAX_HALFWIDTH:
+        raise DomainError(
+            f"a Gaussian scale of {scale:.6g} needs {halfwidth} cells on each side, "
+            f"over the limit of {MAX_HALFWIDTH}"
+        )
+    return halfwidth
 
 
 def _marginal_pmf(scale: float) -> tuple[np.ndarray, np.ndarray]:
@@ -618,6 +516,85 @@ def hmm_entropy_bound(model: TwoStateHmm) -> BoundResult:
 
 
 # ---------------------------------------------------------------------------
+# quantized moments: Poisson summation of the cell sums
+# ---------------------------------------------------------------------------
+
+# Write Q(x) = x - e(x) with the sawtooth e(x) = sum_k (-1)^(k+1) sin(2 pi k x)
+# / (pi k); on [-1/2, 1/2], x^2 = 1/12 + sum_k (-1)^k cos(2 pi k x) / (pi k)^2.
+# Gaussian characteristic functions then give each moment as a short sum of
+# exp(-a * quadratic form) terms, a = 2 pi^2 (Poisson summation of the cells).
+_A = 2.0 * math.pi**2
+
+# The Fourier form of E[Q(X)^2] keeps an absolute accuracy near 3e-17, so it
+# loses relative accuracy as the moment falls (0.012 at scale 0.2, 6e-7 at
+# 0.1, where it is 3e-11 off).  Below this scale the cell sum takes over.
+SMALL_SCALE = 0.2
+
+# Terms per axis of the double sum, which needs about sqrt(40 / (a * gap)),
+# gap = var - |cov|.  The cap is reached at gap = 7.7e-6; both quantized
+# models have gap >= sigma^2 / 2, so none with sigma >= 0.004 reaches it.
+MAX_FOURIER_TERMS = 2**9
+
+# The double sum rounds to about 5e-14 var.  Where E[Q(X)^2] is below this
+# multiple of var (scale below 0.069), |E[Q(X) Q(Y)]| <= E[Q(X)^2]
+# (Cauchy-Schwarz) is below what the sum resolves, and the lag moment is 0.
+LAG_RESOLUTION = 1e-10
+
+
+def _fourier_terms(gap: float) -> np.ndarray:
+    """k = 1..n, where exp(-a * gap * (n+1)^2) < e^-40."""
+    n = int(math.sqrt(40.0 / (_A * gap))) + 1
+    if n > MAX_FOURIER_TERMS:
+        raise DomainError(
+            f"the quantized moment needs {n} Fourier terms a side (variance minus "
+            f"|covariance| = {gap:.3g}), over the limit of {MAX_FOURIER_TERMS}"
+        )
+    return np.arange(1.0, n + 1)
+
+
+def _second_moment(var: float) -> float:
+    """E[Q(X)^2] for X ~ N(0, var):
+
+        var + 1/12 - 4 var sum_k (-1)^(k+1) e^(-a k^2 var)
+                   + sum_k (-1)^k e^(-a k^2 var) / (pi k)^2.
+
+    Below SMALL_SCALE, the cell sum sum_j (2j - 1) erfc((j - 1/2) / (sqrt2
+    scale)) instead; its fifth term is below 1e-60 of the first.
+    """
+    scale = math.sqrt(var)
+    if scale == 0.0:  # sigma^2 underflowed
+        return 0.0
+    if scale < SMALL_SCALE:
+        return sum((2 * j - 1) * math.erfc((j - 0.5) / (SQRT2 * scale)) for j in range(1, 5))
+    k = _fourier_terms(var)
+    e = (-1.0) ** (k + 1) * np.exp(-_A * k * k * var)
+    return var + 1.0 / 12.0 - 4.0 * var * float(e.sum()) - float((e / (k * k)).sum()) / math.pi**2
+
+
+def _lag_moment(var: float, cov: float) -> float:
+    """E[Q(X) Q(Y)] for centred normal X, Y of variance var and covariance
+    cov, |cov| < var:
+
+        cov - 4 cov sum_k (-1)^(k+1) e^(-a k^2 var)
+            + sum_{k,l} (-1)^(k+l) / (2 pi^2 k l) (e^(-a q(k,-l)) - e^(-a q(k,l))),
+
+    q(k, l) = (k^2 + l^2) var + 2 k l cov.  The bracket is evaluated as
+    e^(-a q(k,-l)) * -expm1(-4 a k l cov) at cov >= 0 (odd in cov), so no
+    term cancels.  See LAG_RESOLUTION for the small-scale rule.
+    """
+    if var < SMALL_SCALE**2 and _second_moment(var) <= LAG_RESOLUTION * var:
+        return 0.0
+    c = abs(cov)
+    k = _fourier_terms(var - c)
+    alt = (-1.0) ** (k + 1)
+    kl = np.outer(k, k)
+    q_minus = np.add.outer(k * k, k * k) * var - 2.0 * c * kl  # q(k, -l) at cov = c
+    pair = np.exp(-_A * q_minus) * -np.expm1(-4.0 * _A * c * kl)
+    cross = math.copysign(float(alt @ (pair / kl) @ alt), cov) / (2.0 * math.pi**2)
+    return cov - 4.0 * cov * float(alt @ np.exp(-_A * k * k * var)) + cross
+
+
+# ---------------------------------------------------------------------------
 # quantized MA(1)
 # ---------------------------------------------------------------------------
 
@@ -625,22 +602,15 @@ def hmm_entropy_bound(model: TwoStateHmm) -> BoundResult:
 @lru_cache(maxsize=None)
 def qma_r0(model: QuantizedMaModel) -> float:
     """R(0) of the quantized MA process: E[Q(X_n)^2], X_n ~ N(0, sigma^2(1+theta^2))."""
-    scale = math.hypot(model.sigma, model.sigma * model.theta)
-    return _quantized_second_moment(scale)
+    return _second_moment(model.sigma**2 * (1.0 + model.theta**2))
 
 
 @lru_cache(maxsize=None)
 def qma_r1(model: QuantizedMaModel) -> float:
-    """R(1) of the quantized MA process.
-
-    Conditioning on the shared innovation W_n = s factorizes the lag-1
-    expectation into E[Q(theta*s + W)] * E[Q(s + theta*W')] integrated
-    against the N(0, sigma^2) law of s.  Zero at theta = 0 (independence).
-    """
-    if model.theta == 0.0:
-        return 0.0
-    s, t = model.sigma, model.theta
-    return _quantized_lag_covariance(s, t, s, 1.0, t * s)
+    """R(1) of the quantized MA process: E[Q(X_n) Q(X_{n+1})], where X_n and
+    X_{n+1} have variance sigma^2 (1 + theta^2) and covariance sigma^2 theta."""
+    var = model.sigma**2
+    return _lag_moment(var * (1.0 + model.theta**2), var * model.theta)
 
 
 def qma_k_ratio(model: QuantizedMaModel) -> float:
@@ -701,29 +671,17 @@ def qma_conditional_entropy(model: QuantizedMaModel, tol: float = 1e-7) -> float
 @lru_cache(maxsize=None)
 def qar_r0(model: QuantizedArModel) -> float:
     """R(0) of the quantized-hidden AR process."""
-    scale = math.hypot(math.sqrt(model.stationary_variance), model.nu)
-    return _quantized_second_moment(scale)
+    return _second_moment(model.stationary_variance + model.nu**2)
 
 
 @lru_cache(maxsize=None)
 def qar_rk(model: QuantizedArModel, k: int) -> float:
-    """R(k), k >= 1, of the quantized-hidden AR process.
-
-    Conditioning on X_0 = s factorizes the expectation into
-    E[Q(s + V_0)] * E[Q(phi^k s + W~_k + V_k)] with W~_k ~ N(0, sigma_k^2),
-    sigma_k^2 = sigma^2 (1 - phi^{2k}) / (1 - phi^2).  Zero at phi = 0.
-    """
+    """R(k), k >= 1, of the quantized-hidden AR process: U_0 and U_k have
+    variance sigma0^2 + nu^2 and covariance sigma0^2 phi^k."""
     if k < 1:
         raise DomainError("lag must be >= 1")
-    if model.phi == 0.0:
-        return 0.0
-    sigma0 = math.sqrt(model.stationary_variance)
-    sigma_k = model.sigma * math.sqrt(
-        (1.0 - model.phi ** (2 * k)) / (1.0 - model.phi**2)
-    )
-    return _quantized_lag_covariance(
-        sigma0, 1.0, model.nu, model.phi**k, math.hypot(sigma_k, model.nu)
-    )
+    var0 = model.stationary_variance
+    return _lag_moment(var0 + model.nu**2, var0 * model.phi**k)
 
 
 def qar_th2_bound(model: QuantizedArModel, k: int) -> BoundResult:

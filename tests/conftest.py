@@ -29,20 +29,21 @@ def random_ma_covariance(rng: np.random.Generator, max_lags: int = 4, lags: int 
     return CovarianceSequence(tuple(values))
 
 
-def rectangle_conditional_entropy(sd: float, rho: float) -> float:
-    """H(Y_1 | Y_0) for Y = Q(U), (U_0, U_1) bivariate normal from exact rectangles.
+def _rectangle_cells(sd: float, rho: float):
+    """Exact cell probabilities of Y = Q(U), (U_0, U_1) bivariate normal.
 
-    An oracle independent of the library's s-grid quadrature.  U_0 and U_1
-    have mean 0, standard deviation ``sd`` and correlation ``rho``, and
-    Y = Q(U) puts each integer i on the cell (i - 1/2, i + 1/2).  Cell
-    probabilities are four-corner differences of the bivariate normal CDF,
-    written with Owen's T function (Owen 1956, Ann. Math. Statist. 27:1075):
+    U_0 and U_1 have mean 0, standard deviation ``sd`` and correlation
+    ``rho``, and Y = Q(U) puts each integer i on the cell (i - 1/2, i + 1/2).
+    Cell probabilities are four-corner differences of the bivariate normal
+    CDF, written with Owen's T function (Owen 1956, Ann. Math. Statist.
+    27:1075):
 
         Phi2(h, k; rho) = Phi(h)/2 + Phi(k)/2 - T(h, a_h) - T(k, a_k) - beta,
         a_h = (k - rho h) / (h sqrt(1 - rho^2)), beta = 1/2 if h k < 0 else 0.
 
     Cell edges are half-integers, so h and k are never 0.  The index box
-    |i| <= 14 sd + 2 leaves out less than 1e-12 of the mass.
+    |i| <= 14 sd + 2 leaves out less than 1e-12 of the mass.  Returns the
+    indices i, the joint table P(Y_0 = i, Y_1 = j) and the marginal cells.
     """
     from scipy.special import ndtr, owens_t
 
@@ -59,15 +60,36 @@ def rectangle_conditional_entropy(sd: float, rho: float) -> float:
         - beta
     )
     joint = cdf[1:, 1:] - cdf[:-1, 1:] - cdf[1:, :-1] + cdf[:-1, :-1]
+    return np.arange(-bound, bound + 1), joint, np.diff(ndtr(h))
+
+
+def rectangle_conditional_entropy(sd: float, rho: float) -> float:
+    """H(Y_1 | Y_0) for Y = Q(U) from the exact rectangle cells above.
+
+    An oracle independent of the library's s-grid quadrature.
+    """
+    _, joint, marginal = _rectangle_cells(sd, rho)
     # the four-corner difference leaves round-off negatives in the tails
     joint = np.clip(joint, 0.0, None)
-    marginal = np.diff(ndtr(h))
 
     def entropy(p):
         p = p[p > 0.0]
         return float(-np.sum(p * np.log(p)))
 
     return entropy(joint.ravel()) - entropy(marginal)
+
+
+def quantized_rectangle_cross_moment(var: float, cov: float) -> float:
+    """E[Q(U_0) Q(U_1)] = sum_ij i j P(Y_0 = i, Y_1 = j) over the exact cells.
+
+    U_0 and U_1 are centred normal with variance ``var`` and covariance
+    ``cov``.  An oracle that shares nothing with the Fourier sums of
+    :func:`quantized_cross_moment` or of the library: the cells come from
+    Owen's T function.  Agrees with the 40-digit oracle to about 1e-14
+    relative wherever the moment is not far below ``var``.
+    """
+    i, joint, _ = _rectangle_cells(math.sqrt(var), cov / var)
+    return float(i @ joint @ i)
 
 
 def qma_rectangle_conditional_entropy(sigma: float, theta: float) -> float:
@@ -90,6 +112,22 @@ def qar_rectangle_conditional_entropy(sigma: float, phi: float, nu: float) -> fl
     var0 = sigma * sigma / (1.0 - phi * phi)
     var = var0 + nu * nu
     return rectangle_conditional_entropy(math.sqrt(var), phi * var0 / var)
+
+
+def quantized_second_moment(var: float):
+    """E[Q(X)^2] for X ~ N(0, var), as a 40-digit mpmath value.
+
+    The direct cell sum of k^2 P(Q = k) over both tails, with no Fourier
+    series: an oracle independent of the library's sums.
+    """
+    import mpmath
+
+    with mpmath.workdps(40):
+        s = mpmath.sqrt(2 * mpmath.mpf(var))
+        return sum(
+            k * k * (mpmath.erfc((k - 0.5) / s) - mpmath.erfc((k + 0.5) / s))
+            for k in range(1, int(14 * math.sqrt(var)) + 3)
+        )
 
 
 def quantized_cross_moment(var_x: float, var_y: float, cov: float, terms: int = 8):

@@ -47,7 +47,7 @@ _COVARIANCES = {
 
 @pytest.mark.parametrize(
     "argv",
-    [["fig1"], ["bound-cov", "--input", "cov.txt"]]
+    [["fig1"], ["fig2"], ["bound-cov", "--input", "cov.txt"]]
     + [["bound-psd", "--input", name] for name in _COVARIANCES]
     + [["simulate", "--model", m, "-n", "1000"] for m in _SIMULATE_MODELS],
     ids=lambda argv: " ".join(argv[:3]),
@@ -59,6 +59,8 @@ def test_commands_without_gaussian_cells_load_no_scipy_module(argv, tmp_path):
 
 
 def test_gaussian_cell_commands_load_scipy_special_on_first_use(tmp_path):
-    # the check above can see scipy: fig3 evaluates erfc, so scipy.special loads
+    # the check above can see scipy: fig3's conditional entropy evaluates
+    # erfc on Gaussian cells, so scipy.special loads (fig2's moments are
+    # Fourier sums and need none)
     loaded = scipy_modules_after(_MAIN.format(argv=["fig3", "--theta-max", "0.2"]), tmp_path)
     assert "scipy.special" in loaded.split(",")

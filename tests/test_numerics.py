@@ -7,7 +7,6 @@ from entrobound import numerics
 from entrobound.numerics import (
     ConvergenceError,
     DomainError,
-    integrate_gaussian_weighted,
     integrate_periodic,
     integrate_periodic_full,
     log_gamma,
@@ -97,23 +96,6 @@ class TestIntegratePeriodic:
                 integrate_periodic(lambda lam: np.log(np.cos(lam)))
 
 
-class TestIntegrateGaussianWeighted:
-    def test_density_normalization(self):
-        one = integrate_gaussian_weighted(lambda s: np.ones_like(s), 1.0)
-        assert abs(one - 1.0) < 1e-12
-
-    def test_second_moment(self):
-        m2 = integrate_gaussian_weighted(lambda s: s * s, 2.0)
-        assert abs(m2 - 4.0) < 1e-9
-
-    def test_odd_integrand(self):
-        assert abs(integrate_gaussian_weighted(lambda s: s, 1.0)) < 1e-12
-
-    def test_sigma_domain(self):
-        with pytest.raises(DomainError):
-            integrate_gaussian_weighted(lambda s: s, 0.0)
-
-
 class TestDomainErrorPropagates:
     """A DomainError from a vectorized integrand is not retried node by node."""
 
@@ -125,32 +107,11 @@ class TestDomainErrorPropagates:
 
         return g
 
-    def test_gaussian_weighted(self):
-        calls = []
-        with pytest.raises(DomainError, match="outside the domain"):
-            integrate_gaussian_weighted(self.recording_integrand(calls), 1.0)
-        assert calls == [(33,)]
-
     def test_periodic(self):
         calls = []
         with pytest.raises(DomainError, match="outside the domain"):
             integrate_periodic(self.recording_integrand(calls))
         assert calls == [(16,)]
-
-    def test_quantized_lag_covariance_scale_limit(self, monkeypatch):
-        from entrobound import processes
-
-        calls = []
-        inner = processes._quantizer_mean
-
-        def recording(mu, sd):
-            calls.append(len(mu))
-            return inner(mu, sd)
-
-        monkeypatch.setattr(processes, "_quantizer_mean", recording)
-        with pytest.raises(DomainError, match="cells on each side"):
-            processes.qma_r1.__wrapped__(processes.QuantizedMaModel(1e9, 1.0))
-        assert calls == [33]
 
 
 class TestRelativeTolerance:

@@ -39,6 +39,8 @@ from conftest import (
     qar_rectangle_conditional_entropy,
     qma_rectangle_conditional_entropy,
     quantized_cross_moment,
+    quantized_rectangle_cross_moment,
+    quantized_second_moment,
 )
 
 # the theta grid of fig3, and its (sigma, theta) points whose frozen H_CE
@@ -376,13 +378,11 @@ class TestConditionalEntropyMemory:
     def test_scale_limit_raises_before_allocating(self):
         import tracemalloc
 
-        # sigma = 1e9 would need a 7.4e9-term second-moment sum and a
-        # 2e10-cell marginal pmf
+        # sigma = 1e9 would need a 2e10-cell marginal pmf
         tracemalloc.start()
         try:
-            for kernel, theta in ((qma_r0, 0.0), (qma_r1, 1.0), (qma_conditional_entropy, 0.0)):
-                with pytest.raises(DomainError, match="cells on each side"):
-                    kernel(QuantizedMaModel(1e9, theta))
+            with pytest.raises(DomainError, match="cells on each side"):
+                qma_conditional_entropy(QuantizedMaModel(1e9, 0.0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -391,25 +391,39 @@ class TestConditionalEntropyMemory:
     def test_scale_limit_boundary(self):
         from entrobound import processes
 
-        # the helpers return a count only, so the limit is probed at no cost
+        # the helper returns a count only, so the limit is probed at no cost
         limit = processes.MAX_HALFWIDTH
-        for helper, cells_per_scale in (
-            (processes._box_halfwidth, 10.0),
-            (processes._tail_halfwidth, math.sqrt(-2.0 * math.log(1e-12))),
-        ):
-            assert helper(0.99 * limit / cells_per_scale) <= limit
-            with pytest.raises(DomainError):
-                helper(1.01 * limit / cells_per_scale)
+        assert processes._box_halfwidth(0.99 * limit / 10.0) <= limit
+        with pytest.raises(DomainError):
+            processes._box_halfwidth(1.01 * limit / 10.0)
 
     @pytest.mark.parametrize(
         "args",
-        [["fig2", "--sigma", "1e9"], ["fig3", "--sigma", "1e9", "--theta-max", "0"]],
+        [
+            ["fig3", "--sigma", "1e9", "--theta-max", "0"],
+            ["fig4", "--sigma", "1e9", "--phi-max", "0.7"],
+        ],
     )
     def test_scale_limit_cli(self, args, capsys):
+        # only the conditional entropy has a scale limit
         from entrobound import cli
 
         assert cli.main(args + ["--out", "-"]) == 2
         assert "cells on each side" in capsys.readouterr().err
+
+    def test_fig2_cli_at_sigma_1e9(self, tmp_path):
+        # the moments have no scale limit: at this scale every Fourier term
+        # underflows, so R0 = v + 1/12, R1 = c and K = 2c / (v + 1/6)
+        from entrobound import cli
+
+        out = tmp_path / "fig2.csv"
+        assert cli.main(["fig2", "--sigma", "1e9", "--theta-step", "0.5", "--out", str(out)]) == 0
+        rows = out.read_text().split()[1:]
+        assert len(rows) == 5
+        for row in rows:
+            theta, k_ratio = (float(x) for x in row.split(","))
+            var, cov = 1e18 * (1.0 + theta * theta), 1e18 * theta
+            assert k_ratio == pytest.approx(2.0 * cov / (var + 1.0 / 6.0), rel=1e-9)
 
     def test_large_sigma_value(self):
         # a 1347 x 1347 joint table, inside the limit
@@ -555,22 +569,6 @@ class TestModelValidation:
 
 
 class TestKernelOracles:
-    def test_quantizer_mean_against_direct_sum(self, rng):
-        # brute-force oracle: explicit sum over a wide integer window
-        from entrobound.processes import _quantizer_mean
-        from scipy.stats import norm
-
-        for _ in range(20):
-            mu = float(rng.uniform(-30, 30))
-            sd = float(rng.uniform(0.05, 8.0))
-            lo = int(math.floor(mu - 12 * sd)) - 2
-            hi = int(math.ceil(mu + 12 * sd)) + 2
-            m = np.arange(lo, hi + 1)
-            p = norm.cdf((m + 0.5 - mu) / sd) - norm.cdf((m - 0.5 - mu) / sd)
-            direct = float((m * p).sum())
-            ours = float(_quantizer_mean(np.array([mu]), sd)[0])
-            assert ours == pytest.approx(direct, abs=1e-9 * max(1.0, abs(direct)))
-
     def test_interval_probs_against_scipy(self, rng):
         from entrobound.processes import _interval_probs
         from scipy.stats import norm
@@ -584,20 +582,18 @@ class TestKernelOracles:
         )
         assert np.max(np.abs(ours - ref)) < 1e-14
 
-    @pytest.mark.parametrize("scale", [0.05, 0.2, 0.5, 1.0, 3.7, 10.0, 25.0, 60.0])
+    @pytest.mark.parametrize(
+        "scale", [0.05, 0.1, 0.199, 0.2, 0.201, 0.5, 1.0, 3.7, 10.0, 25.0, 60.0]
+    )
     def test_quantized_second_moment_against_mpmath(self, scale):
-        # direct sum of k^2 P(Q = k) over both tails, in 40-digit arithmetic
-        import mpmath
-
-        from entrobound.processes import _quantized_second_moment
-
-        with mpmath.workdps(40):
-            s = mpmath.sqrt(2) * mpmath.mpf(scale)
-            direct = sum(
-                k * k * (mpmath.erfc((k - 0.5) / s) - mpmath.erfc((k + 0.5) / s))
-                for k in range(1, int(14 * scale) + 3)
-            )
-        assert _quantized_second_moment(scale) == pytest.approx(float(direct), rel=1e-12, abs=0.0)
+        # the 40-digit cell sum; 0.199 and 0.201 sit on either side of the
+        # small-scale rule.  At scale 0.05 the rounding of erfc's argument
+        # x ~ 7 alone is amplified by 2 x^2 ~ 100, hence rel 1e-13
+        direct = float(quantized_second_moment(scale * scale))
+        assert qma_r0(QuantizedMaModel(scale, 0.0)) == pytest.approx(direct, rel=1e-13, abs=0.0)
+        # the same variance reached through nu: sigma0^2 + nu^2 = scale^2
+        ar = QuantizedArModel(0.6 * scale, 0.0, 0.8 * scale)
+        assert qar_r0(ar) == pytest.approx(direct, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("sd,mu", [(1.0, 0.0), (0.5, 0.3), (1.7, -2.4)])
     def test_interval_probs_far_tail_relative(self, sd, mu):
@@ -683,12 +679,10 @@ class TestKernelOracles:
 
 
 class TestLagCovarianceAtLargeScale:
-    """R(1) and R(k) against the Fourier-series oracle, up to sigma = 3000.
+    """R(1) and R(k) against the 40-digit Fourier-series oracle, up to sigma = 3000.
 
-    These integrands are of order sigma^2, so the node doubling has to stop
-    on a relative tolerance once their rounding exceeds the absolute one.
-    The 8-sigma truncation of the Gaussian weight leaves about 1e-13 of
-    sigma^2 out, which sets the rel 1e-12 tolerance.
+    The library sums the same series in float64, with the bracket of each
+    double-sum term taken as a product, so agreement is to rounding.
     """
 
     @pytest.mark.parametrize("sigma", [0.3, 1.0, 5.0, 3000.0])
@@ -696,7 +690,7 @@ class TestLagCovarianceAtLargeScale:
     def test_qma_r1_against_oracle(self, sigma, theta):
         var = sigma * sigma * (1.0 + theta * theta)
         oracle = float(quantized_cross_moment(var, var, theta * sigma * sigma))
-        assert qma_r1(QuantizedMaModel(sigma, theta)) == pytest.approx(oracle, rel=1e-12, abs=0.0)
+        assert qma_r1(QuantizedMaModel(sigma, theta)) == pytest.approx(oracle, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize(
         "sigma,phi,nu,k", [(1.0, 0.9, 4.0, 1), (1.0, 0.9, 4.0, 3), (3000.0, 0.9, 4.0, 2), (3000.0, -0.5, 1.0, 1)]
@@ -704,48 +698,34 @@ class TestLagCovarianceAtLargeScale:
     def test_qar_rk_against_oracle(self, sigma, phi, nu, k):
         var0 = sigma * sigma / (1.0 - phi * phi)
         oracle = float(quantized_cross_moment(var0 + nu * nu, var0 + nu * nu, phi**k * var0))
-        assert qar_rk(QuantizedArModel(sigma, phi, nu), k) == pytest.approx(oracle, rel=1e-12, abs=0.0)
+        assert qar_rk(QuantizedArModel(sigma, phi, nu), k) == pytest.approx(oracle, rel=1e-14, abs=0.0)
 
-    def test_cell_grid_limit_raises_quickly(self):
-        # at nu = 0 one factor is a bare staircase, and the cell grid's cost
-        # grows like sigma^2: sigma = 3000 once ran for minutes
+    def test_fig2_grid_against_oracle(self):
+        for sigma in (1.0, 5.0):
+            for i in range(201):
+                theta = i / 100
+                var = sigma * sigma * (1.0 + theta * theta)
+                oracle = float(quantized_cross_moment(var, var, theta * sigma * sigma))
+                ours = qma_r1(QuantizedMaModel(sigma, theta))
+                assert ours == pytest.approx(oracle, rel=1e-14, abs=0.0), (sigma, theta)
+
+    @pytest.mark.parametrize("nu", [4.0, 0.5, 0.25, 0.0])
+    def test_fig4_grid_against_oracle(self, nu):
+        for phi in FIG4_PHIS:
+            var0 = 1.0 / (1.0 - phi * phi)
+            for k in (1, 2, 3):
+                oracle = float(quantized_cross_moment(var0 + nu * nu, var0 + nu * nu, phi**k * var0))
+                ours = qar_rk(QuantizedArModel(1.0, phi, nu), k)
+                assert ours == pytest.approx(oracle, rel=1e-14, abs=0.0), (phi, k)
+
+    def test_nu_zero_at_sigma_3000(self):
+        # one factor a bare staircase once cost a cell grid growing like
+        # sigma^2 (minutes here); the Fourier sum does not see nu = 0
         start = time.perf_counter()
-        with pytest.raises(DomainError, match="erfc terms, over"):
-            qar_rk(QuantizedArModel(3000.0, 0.5, 0.0), 1)
+        ours = qar_rk.__wrapped__(QuantizedArModel(3000.0, 0.5, 0.0), 1)
         assert time.perf_counter() - start < 1.0
-
-    def test_cell_grid_limit_is_above_fig4_reach(self, monkeypatch):
-        # fig4 --nu 0 stops on the joint-table limit past sigma0 = 102.1, the
-        # marginal scale of H_CE_AR; up to there the cell grid must still run
-        from entrobound import processes
-
-        class Reached(Exception):
-            pass
-
-        def reached(mu, sd):
-            raise Reached
-
-        with pytest.raises(DomainError, match="joint table"):
-            processes.qar_conditional_entropy.__wrapped__(QuantizedArModel(102.2 * math.sqrt(1 - 0.99**2), 0.99, 0.0))
-        monkeypatch.setattr(processes, "_quantizer_mean", reached)
-        with pytest.raises(Reached):
-            processes._quantized_lag_covariance(102.1, 1.0, 0.0, 0.99, 102.1)
-
-    def test_doubling_stops_early_at_large_scale(self, monkeypatch):
-        # with the absolute tolerance alone sigma = 3000 took 4,098 nodes of
-        # ~22,000-term erfc rows each, against 130 at sigma = 1
-        from entrobound import processes
-
-        nodes = []
-        inner = processes._quantizer_mean
-
-        def recording(mu, sd):
-            nodes.append(len(mu))
-            return inner(mu, sd)
-
-        monkeypatch.setattr(processes, "_quantizer_mean", recording)
-        qma_r1.__wrapped__(QuantizedMaModel(3000.0, 1.0))
-        assert sum(nodes) <= 2 * (128 + 1)
+        var0 = 9e6 / 0.75
+        assert ours == pytest.approx(float(quantized_cross_moment(var0, var0, 0.5 * var0)), rel=1e-14, abs=0.0)
 
     def test_fig2_cli_at_sigma_3000(self, tmp_path, monkeypatch):
         from entrobound import cli
@@ -761,3 +741,81 @@ class TestLagCovarianceAtLargeScale:
             # at this scale E[Q(X)^2] = Var X + 1/12 up to exp(-2 pi^2 Var X)
             expected = 2.0 * r1 / (var + 1.0 / 12.0 + 1.0 / 12.0)
             assert float(row.split(",")[1]) == pytest.approx(expected, abs=1e-9)
+
+
+class TestFourierMomentRules:
+    """The early stop the closed forms replaced, and the rules at their edges."""
+
+    @pytest.mark.parametrize("nu", [0.25, 0.5])
+    def test_no_false_convergence_near_phi_one(self, nu):
+        # the trapezoid over s stopped early on the period-1 ripple of
+        # E[Q(s + V)]: it was 2.3e-2 (nu = 0.25) and 5.6e-4 (nu = 0.5) high
+        var0 = 1.0 / (1.0 - 0.96**2)
+        var, cov = var0 + nu * nu, 0.96 * var0
+        ours = qar_rk(QuantizedArModel(1.0, 0.96, nu), 1)
+        assert ours == pytest.approx(quantized_rectangle_cross_moment(var, cov), rel=1e-12, abs=0.0)
+        assert ours == pytest.approx(float(quantized_cross_moment(var, var, cov)), rel=1e-12, abs=0.0)
+
+    def test_fig4_nu_quarter_row_at_phi_096(self, tmp_path):
+        # printed 1.57586804 and 1.57568246 for the bounds before; the
+        # oracle moments give 1.5895536 and 1.58929847
+        from entrobound import cli
+        from entrobound.bounds import tdist_bound_k
+        from entrobound.spectrum import CovarianceSequence
+
+        out = tmp_path / "fig4.csv"
+        argv = ["fig4", "--nu", "0.25", "--phi-min", "0.96", "--phi-max", "0.96", "--out", str(out)]
+        assert cli.main(argv) == 0
+        phi, h_ce, *bounds = out.read_text().split()[1].split(",")
+        var0 = 1.0 / (1.0 - 0.96**2)
+        var = var0 + 0.0625
+        moments = [float(quantized_second_moment(var))] + [
+            float(quantized_cross_moment(var, var, 0.96**k * var0)) for k in (1, 2, 3)
+        ]
+        expected = [tdist_bound_k(CovarianceSequence(tuple(moments[: k + 1]))).value for k in (2, 3)]
+        assert phi == "0.96"
+        assert float(h_ce) == pytest.approx(qar_rectangle_conditional_entropy(1.0, 0.96, 0.25), abs=1e-7)
+        assert bounds == [f"{x:.9g}" for x in expected] == ["1.5895536", "1.58929847"]
+
+    @pytest.mark.parametrize("sigma", [0.047, 0.05])
+    def test_lag_resolution_rule(self, sigma):
+        # R0 = 1e-10 var near sigma = 0.0489 at theta = 1.  Below, the lag
+        # moment is returned as 0, within R0 of the true one; above, the sum
+        # holds its absolute accuracy of about 5e-14 var
+        from entrobound.processes import LAG_RESOLUTION
+
+        model = QuantizedMaModel(sigma, 1.0)
+        var, cov = 2.0 * sigma * sigma, sigma * sigma
+        oracle = float(quantized_cross_moment(var, var, cov, terms=60))
+        r0, r1 = qma_r0(model), qma_r1(model)
+        assert abs(oracle) <= r0
+        if sigma < 0.0489:
+            assert r0 < LAG_RESOLUTION * var and r1 == 0.0
+        else:
+            assert r0 > LAG_RESOLUTION * var and abs(r1) <= r0
+            assert r1 == pytest.approx(oracle, rel=0.0, abs=1e-14 * var)
+
+    def test_fourier_term_limit(self):
+        # at nu = 0 and phi = 0.9999 the lag-1 gap var - cov = sigma^2 / (1 + phi):
+        # 492 terms a side at sigma = 0.0041, 530 at sigma = 0.0038
+        import tracemalloc
+
+        from entrobound.processes import MAX_FOURIER_TERMS
+
+        below = QuantizedArModel(0.0041, 0.9999, 0.0)
+        var = below.stationary_variance
+        oracle = quantized_rectangle_cross_moment(var, 0.9999 * var)
+        assert qar_rk(below, 1) == pytest.approx(oracle, rel=1e-13, abs=0.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match=f"530 Fourier terms a side.*limit of {MAX_FOURIER_TERMS}"):
+                qar_rk(QuantizedArModel(0.0038, 0.9999, 0.0), 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16  # one 530 x 530 table alone would take 2.2 MB
+
+    def test_underflowed_variance(self):
+        # sigma^2 = 0.0 in double precision: every moment is 0, not a division by 0
+        ma, ar = QuantizedMaModel(1e-200, 1.0), QuantizedArModel(1e-200, 0.5, 0.0)
+        assert (qma_r0(ma), qma_r1(ma), qar_r0(ar), qar_rk(ar, 1)) == (0.0, 0.0, 0.0, 0.0)

@@ -1,4 +1,5 @@
-"""Property tests of the bounds over covariances of random MA processes.
+"""Property tests of the bounds over covariances of random MA processes, and
+of the quantized moments over random model parameters.
 
 Each covariance is the autocorrelation of an MA coefficient vector, so its
 zero-extended spectral density is |hat c|^2 >= 0 and every route accepts it.
@@ -17,11 +18,18 @@ from hypothesis import strategies as st
 from entrobound import (
     CovarianceSequence,
     DomainError,
+    QuantizedArModel,
+    QuantizedMaModel,
     cli,
     gaussian_bound_k,
     gaussian_entropy_rate,
     gaussian_psd_bound,
     psd_from_finite_covariance,
+    qar_r0,
+    qar_rk,
+    qma_k_ratio,
+    qma_r0,
+    qma_r1,
     tdist_bound_1,
     tdist_bound_k,
     toeplitz_gaussian_bound_finite,
@@ -136,3 +144,34 @@ def test_lag_above_r0_is_rejected_on_every_route(rho, data, excess, sign):
         for command in ("bound-cov", "bound-psd"):
             with contextlib.redirect_stderr(io.StringIO()):
                 assert cli.main([command, "--input", path, "--out", os.path.join(tmp, "out.csv")]) == 2
+
+
+# sigma from 0.05, where R(0) ~ 1e-23 and the lag moments fall under the
+# resolution rule, to 50
+scales = st.floats(0.05, 50.0)
+
+
+@property_settings
+@given(scales, st.floats(0.0, 5.0))
+@example(0.05, 0.0)
+@example(0.05, 0.1)  # the double sum rounds to 2e-19 here, R(0) is 5e-23
+@example(0.0489, 1.0)  # R(0) at the lag resolution rule
+@example(0.2, 0.0)  # the small-scale rule of R(0)
+def test_quantized_ma_moments_are_a_covariance(sigma, theta):
+    model = QuantizedMaModel(sigma, theta)
+    r0, r1 = qma_r0(model), qma_r1(model)
+    assert r0 >= 0.0
+    assert abs(r1) <= r0  # Cauchy-Schwarz
+    assert abs(qma_k_ratio(model)) <= 1.0
+
+
+@property_settings
+@given(scales, st.floats(-0.99, 0.99), st.floats(0.0, 10.0), st.integers(1, 6))
+@example(0.05, 0.5, 0.0, 1)
+@example(0.06, -0.5, 0.0, 1)
+@example(0.05, 0.99, 0.0, 1)
+def test_quantized_ar_moments_are_a_covariance(sigma, phi, nu, k):
+    model = QuantizedArModel(sigma, phi, nu)
+    r0 = qar_r0(model)
+    assert r0 >= 0.0
+    assert abs(qar_rk(model, k)) <= r0  # Cauchy-Schwarz
