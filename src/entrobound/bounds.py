@@ -351,7 +351,12 @@ def tdist_bound_k(cov: CovarianceSequence) -> BoundResult:
     table = _cosine_table(k, n)
     while 2 * n <= MAX_POINTS:
         finer = _cosine_table(k, 2 * n)
-        x, used = _central_path(a, table, limit)
+        try:
+            x, used = _central_path(a, table, limit)
+        except ConvergenceError:  # a stalled level: try the next one
+            steps += _MAX_ITERATIONS
+            n, table = 2 * n, finer
+            continue
         steps += used
         # the path stops just inside the region: scale beta onto its
         # boundary, and certify that point with the path point's multipliers

@@ -147,14 +147,12 @@ def run_fig2(sigma_list: list[float], theta_grid: list[float]):
     return columns, _map_ordered(row, theta_grid)
 
 
-def run_fig3(sigma: float, theta_grid: list[float], fast: bool = False):
-    tol = 1e-6 if fast else 1e-7
-
+def run_fig3(sigma: float, theta_grid: list[float]):
     def row(theta: float) -> list:
         model = processes.QuantizedMaModel(sigma, theta)
         return [
             theta,
-            processes.qma_conditional_entropy(model, tol=tol),
+            processes.qma_conditional_entropy(model),
             processes.qma_th1_bound(model),
             processes.qma_th3_bound(model),
         ]
@@ -162,18 +160,10 @@ def run_fig3(sigma: float, theta_grid: list[float], fast: bool = False):
     return ["theta", "H_CE", "H_TH1", "H_TH3"], _map_ordered(row, theta_grid)
 
 
-def run_fig4(
-    sigma: float,
-    nu: float,
-    phi_grid: list[float],
-    k_list: list[int],
-    fast: bool = False,
-):
-    tol = 1e-6 if fast else 1e-7
-
+def run_fig4(sigma: float, nu: float, phi_grid: list[float], k_list: list[int]):
     def row(phi: float) -> list:
         model = processes.QuantizedArModel(sigma, phi, nu)
-        out = [phi, processes.qar_conditional_entropy(model, tol=tol)]
+        out = [phi, processes.qar_conditional_entropy(model)]
         for k in k_list:
             out.append(processes.qar_th2_bound(model, k).value)
         return out
@@ -273,7 +263,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--theta-max", type=float, default=2.0)
     p.add_argument("--theta-step", type=float, default=0.1)
-    p.add_argument("--fast", action="store_true", help="loosen tolerances 10x")
     common(p)
 
     p = sub.add_parser("fig4", help="quantized-hidden AR bound comparison")
@@ -283,7 +272,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi-max", type=float, default=0.98)
     p.add_argument("--phi-step", type=float, default=0.02)
     p.add_argument("--k", type=int, action="append", default=None)
-    p.add_argument("--fast", action="store_true", help="loosen tolerances 10x")
     common(p)
 
     p = sub.add_parser("bound-cov", help="covariance-route bounds from a file")
@@ -328,11 +316,11 @@ def main(argv=None) -> int:
             columns, rows = run_fig2(sigmas, _grid(0.0, args.theta_max, args.theta_step))
         elif args.command == "fig3":
             grid = _grid(0.0, args.theta_max, args.theta_step)
-            columns, rows = run_fig3(args.sigma, grid, fast=args.fast)
+            columns, rows = run_fig3(args.sigma, grid)
         elif args.command == "fig4":
             grid = _grid(args.phi_min, args.phi_max, args.phi_step)
             ks = args.k if args.k else [2, 3]
-            columns, rows = run_fig4(args.sigma, args.nu, grid, ks, fast=args.fast)
+            columns, rows = run_fig4(args.sigma, args.nu, grid, ks)
         elif args.command == "bound-cov":
             columns, rows = run_bound_cov(_read_covariance_file(args.input))
         elif args.command == "bound-psd":

@@ -207,16 +207,13 @@ def _cell_probs(z: np.ndarray) -> np.ndarray:
 
 
 def _interval_probs(idx: np.ndarray, mu: np.ndarray, sd: float) -> np.ndarray:
-    """P(N(mu, sd^2) in [i-1/2, i+1/2)) for mu (rows) x idx (columns).
+    """P(N(mu, sd^2) in [i-1/2, i+1/2)) for mu (rows) x idx (columns), sd > 0.
 
     ``idx`` must be consecutive integers, so that neighbouring cells share
     an edge and each edge costs one erfc (see :func:`_cell_probs`).
     """
-    mu = np.asarray(mu, dtype=float)
-    if sd == 0.0:
-        return (idx[None, :] == np.ceil(mu[:, None] - 0.5)).astype(float)
     edges = idx[0] - 0.5 + np.arange(len(idx) + 1)
-    return _cell_probs((edges[None, :] - mu[:, None]) / sd)
+    return _cell_probs((edges[None, :] - np.asarray(mu, dtype=float)[:, None]) / sd)
 
 
 _CHUNK = 8192
@@ -227,32 +224,6 @@ _BLOCK_ELEMENTS = 2**21
 
 def _chunk_rows(ncols: int) -> int:
     return max(1, min(_CHUNK, _BLOCK_ELEMENTS // ncols))
-
-
-def _cell_grid(weight_sigma: float, slope: float, nodes_per_cell: int):
-    """Gauss-Legendre nodes and weights on [-8w, 8w], split at the jumps of
-    Q(slope * s), i.e. at s = (j + 1/2) / slope; weights include the N(0, w^2)
-    density.  Requires slope != 0."""
-    c = 8.0 * weight_sigma
-    step = 1.0 / abs(slope)
-    j_min = int(math.floor(-c * abs(slope) - 0.5))
-    j_max = int(math.ceil(c * abs(slope) + 0.5))
-    edges = [(-0.5 + j) * step for j in range(j_min, j_max + 2)]
-    edges = [max(min(e, c), -c) for e in edges]
-    x, w = np.polynomial.legendre.leggauss(nodes_per_cell)
-    s_parts, w_parts = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        if hi - lo <= 0.0:
-            continue
-        half = 0.5 * (hi - lo)
-        s_parts.append(half * x + 0.5 * (lo + hi))
-        w_parts.append(half * w)
-    s = np.concatenate(s_parts)
-    weights = np.concatenate(w_parts)
-    weights = weights * np.exp(-0.5 * (s / weight_sigma) ** 2) / (
-        weight_sigma * math.sqrt(2.0 * math.pi)
-    )
-    return s, weights
 
 
 # Largest half-width, in cells, of the index box the Gaussian-cell kernels
@@ -281,7 +252,7 @@ def _marginal_pmf(scale: float) -> tuple[np.ndarray, np.ndarray]:
 
 def _pmf_entropy(p: np.ndarray) -> float:
     p = p[p > 0]
-    return float(-(p * np.log(p)).sum())
+    return float(-(p * np.log(p)).sum()) + 0.0  # a one-cell pmf gives 0, not -0
 
 
 # Largest joint table _pair_conditional_entropy builds: 2**22 cells (32 MiB).
@@ -289,52 +260,50 @@ def _pmf_entropy(p: np.ndarray) -> float:
 # reached near a marginal scale of 102 (sigma ~ 45 for the MA at theta = 2).
 MAX_JOINT_CELLS = 2**22
 
+# The conditional-entropy doubling stops once two levels differ by less than
+# this and the captured joint mass is within 1e-10 of one.
+ENTROPY_TOL = 1e-7
 
-def _pair_conditional_entropy(
-    weight_sigma: float,
-    slope_a: float,
-    sd_a: float,
-    slope_b: float,
-    sd_b: float,
-    marginal_scale: float,
-    tol: float = 1e-7,
-) -> float:
-    """H(Y_b | Y_a) for the pair Y_a = Q(slope_a*s + A), Y_b = Q(slope_b*s + B).
 
-    s ~ N(0, weight_sigma^2) is shared; A, B are independent Gaussian.  The
-    joint pmf is accumulated on a truncated index box (|i| <= 10*scale + 2)
-    over an s-grid that doubles until the entropy moves less than ``tol`` and
-    the captured joint mass is within 1e-10 of one.
+def _pair_conditional_entropy(var: float, cov: float) -> float:
+    """H(Y_1 | Y_0) for Y_i = Q(U_i), (U_0, U_1) centred normal with variance
+    var each and covariance cov, |cov| < var.
 
-    On the trapezoid grid every s-node is evaluated once: each doubling adds
-    only the new midpoints to a running sum.  When A is degenerate (sd_a = 0)
-    the grid is Gauss-Legendre on the jump cells of Q(slope_a*s); those nodes
-    do not nest, so each level is built afresh.  Erfc blocks are capped at
-    a fixed element count, and a joint table of more than MAX_JOINT_CELLS
-    cells raises DomainError before anything is allocated.
+    One-factor split: U_0 = s + A and U_1 = sign(cov) s + B, with
+    s ~ N(0, |cov|) and A, B ~ N(0, var - |cov|) independent.  Q(-u) = -Q(u)
+    off the cell edges, and relabelling Y_1 as -Y_1 leaves H(Y_1 | Y_0) as
+    it is, so the kernel runs at |cov|: given s both are the same smoothed
+    staircase of s, and one table P(Q(s + A) = i | s) per chunk serves rows
+    and columns.  The joint pmf is accumulated on the box
+    |i| <= 10*sqrt(var) + 2 over a trapezoid s-grid on 8 standard deviations
+    that doubles until ENTROPY_TOL is met; each doubling adds only the new
+    midpoints to a running sum, so every s-node is evaluated once.  cov = 0
+    gives the marginal entropy.  Erfc blocks are capped at a fixed element
+    count, and a joint table of more than MAX_JOINT_CELLS cells raises
+    DomainError before anything is allocated.
     """
-    box = _box_halfwidth(marginal_scale)
-    if (2 * box + 1) ** 2 > MAX_JOINT_CELLS:
+    scale = math.sqrt(var)
+    if cov == 0.0:
+        return _pmf_entropy(_marginal_pmf(scale)[1])
+    cells = (2 * _box_halfwidth(scale) + 1) ** 2
+    if cells > MAX_JOINT_CELLS:
         raise DomainError(
-            f"the conditional-entropy joint table would have {(2 * box + 1) ** 2} "
-            f"cells (marginal scale {marginal_scale:.6g}), over the limit of "
-            f"{MAX_JOINT_CELLS}"
+            f"the conditional-entropy joint table would have {cells} cells "
+            f"(marginal scale {scale:.6g}), over the limit of {MAX_JOINT_CELLS}"
         )
-    idx, p_y = _marginal_pmf(marginal_scale)
+    idx, p_y = _marginal_pmf(scale)
     shape = (len(idx), len(idx))
     chunk = _chunk_rows(len(idx) + 1)
+    sd = math.sqrt(var - abs(cov))
+    weight_sigma = math.sqrt(abs(cov))
     a, b = -8.0 * weight_sigma, 8.0 * weight_sigma
     norm = 1.0 / (weight_sigma * math.sqrt(2.0 * math.pi))
 
     def accumulate(p: np.ndarray, s: np.ndarray, w: np.ndarray) -> np.ndarray:
-        # add the sum over nodes of w(s) * outer(P(Y_a = i | s), P(Y_b = j | s))
+        # add the sum over nodes of w(s) * outer(P(Y_0 = i | s), P(Y_1 = j | s))
         for start in range(0, len(s), chunk):
-            sc = s[start : start + chunk]
-            wc = w[start : start + chunk]
-            rows = _interval_probs(idx, slope_a * sc, sd_a)
-            cols = _interval_probs(idx, slope_b * sc, sd_b)
-            cols *= wc[:, None]
-            p += rows.T @ cols
+            rows = _interval_probs(idx, s[start : start + chunk], sd)
+            p += rows.T @ (rows * w[start : start + chunk, None])
         return p
 
     def density(s: np.ndarray) -> np.ndarray:
@@ -353,41 +322,27 @@ def _pair_conditional_entropy(
         h = h_joint + float((rows * np.log(np.maximum(p_y, 1e-300))).sum())
         return h, total
 
-    def levels():
-        """Yield (panels, entropy, joint mass) for panels = 256, 512, 1024, ...
-
-        Each level's joint table is dropped once its entropy is taken."""
-        panels = 256
-        if sd_a == 0.0:
-            # the conditioning kernel is a bare staircase: use quadrature
-            # nodes aligned to its jump cells (panels // 64 nodes per cell)
-            while True:
-                s, w = _cell_grid(weight_sigma, slope_a, max(panels // 64, 4))
-                yield panels, *entropy_of(accumulate(np.zeros(shape), s, w))
-                panels *= 2
-        s = np.linspace(a, b, panels + 1)
-        w = density(s)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        unscaled = accumulate(np.zeros(shape), s, w)  # without the panel width
-        while True:
-            yield panels, *entropy_of(unscaled * ((b - a) / panels))
-            s = a + (b - a) * (np.arange(panels) + 0.5) / panels
-            accumulate(unscaled, s, density(s))
-            panels *= 2
-
-    entropies = levels()
-    panels, h_prev, _ = next(entropies)
-    while panels < MAX_POINTS:
-        panels, h, total = next(entropies)
-        if abs(h - h_prev) < tol and abs(total - 1.0) < 1e-10:
+    panels = 256
+    s = np.linspace(a, b, panels + 1)
+    w = density(s)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    unscaled = accumulate(np.zeros(shape), s, w)  # without the panel width
+    h_prev = math.nan
+    while True:
+        h, total = entropy_of(unscaled * ((b - a) / panels))
+        if abs(h - h_prev) < ENTROPY_TOL and abs(total - 1.0) < 1e-10:
             return h
+        if panels >= MAX_POINTS:
+            raise ConvergenceError(
+                "joint mass deficit persists; the truncated index box is likely "
+                "too small - enlarge the box or the node budget",
+                estimates=(h_prev, h),
+            )
         h_prev = h
-    raise ConvergenceError(
-        "joint mass deficit persists; the truncated index box is likely too "
-        "small - enlarge the box or the node budget",
-        estimates=(h_prev,),
-    )
+        s = a + (b - a) * (np.arange(panels) + 0.5) / panels
+        accumulate(unscaled, s, density(s))
+        panels *= 2
 
 
 # ---------------------------------------------------------------------------
@@ -638,29 +593,20 @@ def qma_th1_bound(model: QuantizedMaModel) -> float:
 
 
 def qma_th3_bound(model: QuantizedMaModel) -> float:
-    """Order-1 covariance-route bound for the quantized MA process."""
-    return tdist_bound_1(qma_r0(model), qma_r1(model)).value
+    """Order-1 covariance-route bound for the quantized MA process.  Where R(0)
+    underflows to 0 the quantized process is 0 and the bound univariate."""
+    r0 = qma_r0(model)
+    if r0 == 0.0:
+        return univariate_me_bound(0.0)
+    return tdist_bound_1(r0, qma_r1(model)).value
 
 
 @lru_cache(maxsize=None)
-def qma_conditional_entropy(model: QuantizedMaModel, tol: float = 1e-7) -> float:
-    """H(Y_{n+1} | Y_n) of the quantized MA process.
-
-    theta = 0 gives an i.i.d. process, where this is the marginal entropy.
-    """
-    s, t = model.sigma, model.theta
-    if t == 0.0:
-        _, p = _marginal_pmf(s)
-        return _pmf_entropy(p)
-    return _pair_conditional_entropy(
-        weight_sigma=s,
-        slope_a=1.0,
-        sd_a=t * s,
-        slope_b=t,
-        sd_b=s,
-        marginal_scale=math.hypot(s, s * t),
-        tol=tol,
-    )
+def qma_conditional_entropy(model: QuantizedMaModel) -> float:
+    """H(Y_{n+1} | Y_n) of the quantized MA process, from the same pair as
+    :func:`qma_r1`; theta = 0 gives an i.i.d. process and the marginal entropy."""
+    var = model.sigma**2
+    return _pair_conditional_entropy(var * (1.0 + model.theta**2), var * model.theta)
 
 
 # ---------------------------------------------------------------------------
@@ -685,23 +631,20 @@ def qar_rk(model: QuantizedArModel, k: int) -> float:
 
 
 def qar_th2_bound(model: QuantizedArModel, k: int) -> BoundResult:
-    """Order-k covariance-route bound using lags R(0), ..., R(k), k >= 1."""
+    """Order-k covariance-route bound using lags R(0), ..., R(k), k >= 1.  Where
+    R(0) underflows to 0 the quantized process is 0 and the bound univariate."""
     if k < 1:
         raise DomainError("k must be >= 1")
-    values = [qar_r0(model)] + [qar_rk(model, j) for j in range(1, k + 1)]
+    r0 = qar_r0(model)
+    if r0 == 0.0:
+        return BoundResult(value=univariate_me_bound(0.0), argmin=[0.0] * k)
+    values = [r0] + [qar_rk(model, j) for j in range(1, k + 1)]
     return tdist_bound_k(CovarianceSequence(tuple(values)))
 
 
 @lru_cache(maxsize=None)
-def qar_conditional_entropy(model: QuantizedArModel, tol: float = 1e-7) -> float:
-    """H(Y_1 | Y_0) of the quantized-hidden AR process."""
-    sigma0 = math.sqrt(model.stationary_variance)
-    return _pair_conditional_entropy(
-        weight_sigma=sigma0,
-        slope_a=1.0,
-        sd_a=model.nu,
-        slope_b=model.phi,
-        sd_b=math.hypot(model.sigma, model.nu),
-        marginal_scale=math.hypot(sigma0, model.nu),
-        tol=tol,
-    )
+def qar_conditional_entropy(model: QuantizedArModel) -> float:
+    """H(Y_1 | Y_0) of the quantized-hidden AR process, from the same pair as
+    :func:`qar_rk` at k = 1."""
+    var0 = model.stationary_variance
+    return _pair_conditional_entropy(var0 + model.nu**2, var0 * model.phi)

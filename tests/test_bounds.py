@@ -393,6 +393,31 @@ class TestPrimalDualSolve:
             res = tdist_bound_k(random_ma_covariance(rng, lags=int(rng.integers(2, 9))))
             assert -1e-12 <= res.duality_gap <= 1e-11
 
+    def test_near_unit_root_survives_a_stalled_level(self, monkeypatch):
+        # R(m) = 1e4 * 0.9999^m: the solve on the first node table stalls and
+        # the doubling moves on to the next level instead of exiting
+        import entrobound.bounds as bounds
+
+        stalled = []
+        inner = bounds._central_path
+
+        def recording(a, table, limit):
+            try:
+                return inner(a, table, limit)
+            except ConvergenceError:
+                stalled.append(table.shape[1])
+                raise
+
+        monkeypatch.setattr(bounds, "_central_path", recording)
+        values = tuple(1e4 * 0.9999**m for m in range(9))
+        res = tdist_bound_k(CovarianceSequence(values))
+        assert stalled == [256]
+        assert -1e-12 <= res.duality_gap <= 1e-9
+        # the order-1 bound on the same shrunken region; tdist_bound_1's
+        # closed form takes beta_1 = -0.999999994, outside that region
+        assert res.value <= tdist_bound_k(CovarianceSequence(values[:2])).value + 1e-12
+        assert res.value <= univariate_me_bound(values[0])
+
     def test_order4_step_count(self):
         # the barrier path this solve replaced took about 44 Newton steps
         rng = np.random.default_rng(4)

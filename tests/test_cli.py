@@ -79,9 +79,28 @@ class TestFig3:
 
     def test_sigma1_th1_anchor(self, tmp_path):
         out = tmp_path / "fig3.csv"
-        run_cli(["fig3", "--sigma", "1", "--theta-max", "1.5", "--theta-step", "1.5", "--fast", "--out", str(out)])
+        run_cli(["fig3", "--sigma", "1", "--theta-max", "1.5", "--theta-step", "1.5", "--out", str(out)])
         rows = read_csv(out)
         assert float(rows[-1]["H_TH1"]) == pytest.approx(1.88223574, abs=2e-3)
+
+
+@pytest.mark.parametrize(
+    "args,ce_column,bound_column",
+    [
+        (["fig3", "--sigma", "0.004"], "H_CE", "H_TH3"),
+        (["fig4", "--sigma", "0.004", "--nu", "0"], "H_CE_AR", "H_TH2_k3"),
+    ],
+)
+def test_r0_underflow_gives_the_univariate_bound(tmp_path, args, ce_column, bound_column):
+    # at sigma = 0.004 R(0) underflows to 0.0 on most rows: the quantized
+    # process is 0, and every bound is 1/2 log(2 pi e / 12)
+    out = tmp_path / "out.csv"
+    assert run_cli(args + ["--out", str(out)]) == 0
+    rows = read_csv(out)
+    assert len(rows) > 10
+    for row in rows:
+        assert float(row[bound_column]) == pytest.approx(0.5 * math.log(2 * math.pi * math.e / 12), abs=1e-8)
+        assert row[ce_column] == "0"  # not "-0"
 
 
 class TestFig4:
@@ -124,6 +143,20 @@ class TestBoundCov:
         assert float(rows["tdist_order_1"]["value"]) == pytest.approx(
             qma_th3_bound(m), abs=1e-8
         )
+
+    def test_near_unit_root(self, tmp_path):
+        from entrobound.bounds import tdist_bound_k
+        from entrobound.spectrum import CovarianceSequence
+
+        values = [1e4 * 0.9999**m for m in range(9)]
+        src = tmp_path / "cov.txt"
+        src.write_text(",".join(repr(v) for v in values) + "\n")
+        out = tmp_path / "out.csv"
+        assert run_cli(["bound-cov", "--input", str(src), "--out", str(out)]) == 0
+        rows = {r["bound"]: r for r in read_csv(out)}
+        value = float(rows["tdist_order_8"]["value"])
+        assert value == pytest.approx(tdist_bound_k(CovarianceSequence(tuple(values))).value, abs=1e-8)
+        assert value < float(rows["univariate_me"]["value"])
 
     def test_invariant_violation_exit_code(self, tmp_path, capsys):
         src = tmp_path / "cov.txt"

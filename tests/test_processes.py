@@ -305,6 +305,13 @@ class TestQuantizedMaBounds:
             univariate_me_bound(qma_r0(m)), abs=1e-9
         )
 
+    def test_covariance_route_r0_underflow(self):
+        # R(0) underflows to 0.0: the quantized process is 0 in double precision
+        m = QuantizedMaModel(0.004, 1.0)
+        assert qma_r0(m) == 0.0
+        assert qma_th3_bound(m) == univariate_me_bound(0.0)
+        assert qma_conditional_entropy(m) == 0.0
+
 
 class TestQuantizedMaConditionalEntropy:
     def test_iid_case(self):
@@ -431,8 +438,8 @@ class TestConditionalEntropyMemory:
         assert h == pytest.approx(5.5376909639, abs=1e-10)
 
     def test_erfc_blocks_capped(self, monkeypatch):
-        # nu = 0 at sigma0 = 45.9: the cell grid has thousands of nodes a
-        # level and the index box 923 columns, so chunks shrink below _CHUNK
+        # nu = 0 at sigma0 = 45.9: the trapezoid runs to thousands of nodes a
+        # level and the index box has 923 columns, so chunks shrink below _CHUNK
         from entrobound import processes
 
         blocks = []
@@ -495,6 +502,14 @@ class TestQuantizedArBounds:
         with pytest.raises(DomainError):
             qar_th2_bound(QuantizedArModel(1.0, 0.5, 1.0), 0)
 
+    def test_th2_r0_underflow(self):
+        m = QuantizedArModel(0.004, 0.7, 0.0)
+        assert qar_r0(m) == 0.0
+        res = qar_th2_bound(m, 3)
+        assert res.value == univariate_me_bound(0.0)
+        assert res.value == pytest.approx(0.5 * math.log(2 * math.pi * math.e / 12), abs=1e-15)
+        assert res.argmin == [0.0, 0.0, 0.0]
+
     def test_k6_not_above_k4(self):
         m = QuantizedArModel(1.0, 0.9, 4.0)
         assert qar_th2_bound(m, 6).value <= qar_th2_bound(m, 4).value + 1e-12
@@ -512,7 +527,7 @@ class TestQuantizedArConditionalEntropy:
     @pytest.mark.parametrize("nu", [4.0, 0.5, 0.0])
     def test_against_rectangle_oracle(self, nu):
         # exact bivariate-normal cell probabilities at every fig4 grid point;
-        # nu = 0 takes the cell-grid branch (a bare staircase in Y_0)
+        # nu = 0 runs on the same trapezoid (smoothing var - |cov| > 0)
         off = {}
         for phi in FIG4_PHIS:
             h = qar_conditional_entropy(QuantizedArModel(1.0, phi, nu))
@@ -520,6 +535,22 @@ class TestQuantizedArConditionalEntropy:
             if abs(gap) >= 1e-9:
                 off[phi] = gap
         assert not off
+
+    @pytest.mark.parametrize("nu", [4.0, 0.0])
+    @pytest.mark.parametrize("phi", [-0.9, -0.5])
+    def test_negative_phi_against_rectangle_oracle(self, nu, phi):
+        # cov < 0: the kernel runs at |cov|, the exact rectangle cells at cov
+        h = qar_conditional_entropy(QuantizedArModel(1.0, phi, nu))
+        assert h == pytest.approx(qar_rectangle_conditional_entropy(1.0, phi, nu), abs=1e-9)
+
+    @pytest.mark.parametrize("nu", [4.0, 0.5, 0.0])
+    def test_sign_of_phi(self, nu):
+        # Q(-u) = -Q(u) off the cell edges, so (Y_0, -Y_1) has the law at -phi
+        for phi in (0.3, 0.7, 0.94):
+            h = qar_conditional_entropy(QuantizedArModel(1.0, phi, nu))
+            assert qar_conditional_entropy(QuantizedArModel(1.0, -phi, nu)) == pytest.approx(
+                h, abs=1e-12
+            )
 
     def test_phi_zero_is_marginal_entropy(self):
         from entrobound.processes import _marginal_pmf, _pmf_entropy
@@ -627,23 +658,39 @@ class TestKernelOracles:
         inner = processes._interval_probs
 
         def recording(idx, mu, sd):
-            if sd == 0.5:  # the rows of Y_a, whose sd_a is 0.5 below
+            if sd == math.sqrt(0.75):  # the s-node tables; the marginal has sd 1.25**0.5
                 nodes.append(np.array(mu, dtype=float))
             return inner(idx, mu, sd)
 
         monkeypatch.setattr(processes, "_interval_probs", recording)
-        processes._pair_conditional_entropy(
-            weight_sigma=1.0,
-            slope_a=1.0,
-            sd_a=0.5,
-            slope_b=0.5,
-            sd_b=1.0,
-            marginal_scale=math.hypot(1.0, 0.5),
-        )
+        processes._pair_conditional_entropy(1.25, 0.5)
         s = np.concatenate(nodes)
         panels = len(s) - 1
         assert panels >= 512 and panels & (panels - 1) == 0
         assert len(np.unique(s)) == len(s)
+
+    @pytest.mark.parametrize("cov", [0.5, -0.5])
+    def test_one_table_per_chunk(self, monkeypatch, cov):
+        # rows and columns share one _interval_probs table: with chunks of 100
+        # s-nodes, a level of n nodes makes ceil(n / 100) calls, no more
+        from entrobound import processes
+
+        sizes = []
+        inner = processes._interval_probs
+
+        def recording(idx, mu, sd):
+            if sd == math.sqrt(0.75):
+                sizes.append(np.size(mu))
+            return inner(idx, mu, sd)
+
+        monkeypatch.setattr(processes, "_interval_probs", recording)
+        monkeypatch.setattr(processes, "_CHUNK", 100)
+        processes._pair_conditional_entropy(1.25, cov)
+        # levels add 257, 256, 512, ... nodes; none of these is a multiple of 100
+        levels = [257] + [256 * 2**j for j in range(len(sizes))]
+        expected = [rows for n in levels for rows in [100] * (n // 100) + [n % 100]]
+        assert sizes == expected[: len(sizes)]
+        assert sum(sizes) - 1 in [256 * 2**j for j in range(len(sizes))]
 
     def test_small_sigma_ma_against_simulation(self):
         # severe-quantization regime: most mass collapses onto few integers
@@ -719,8 +766,9 @@ class TestLagCovarianceAtLargeScale:
                 assert ours == pytest.approx(oracle, rel=1e-14, abs=0.0), (phi, k)
 
     def test_nu_zero_at_sigma_3000(self):
-        # one factor a bare staircase once cost a cell grid growing like
-        # sigma^2 (minutes here); the Fourier sum does not see nu = 0
+        # nu = 0 once took this moment through quadrature on the jump cells
+        # of a bare staircase, at a cost growing like sigma^2 (minutes at
+        # this sigma); the Fourier sum does not see nu = 0
         start = time.perf_counter()
         ours = qar_rk.__wrapped__(QuantizedArModel(3000.0, 0.5, 0.0), 1)
         assert time.perf_counter() - start < 1.0
