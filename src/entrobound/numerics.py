@@ -19,8 +19,8 @@ SQRT2 = math.sqrt(2.0)
 # less than REL_TOL of the estimate when that is larger (|estimate| above 1e4,
 # where the rounding of the sum itself exceeds ABS_TOL), and gives up with
 # ConvergenceError beyond MAX_POINTS nodes.  The order-k doubling in ``bounds``
-# shares MAX_POINTS and ABS_TOL, the conditional-entropy one in ``processes``
-# MAX_POINTS.
+# runs from 256 nodes up to MAX_POINTS until its duality gap is below ABS_TOL;
+# the conditional-entropy one in ``processes`` shares MAX_POINTS.
 MAX_POINTS = 2**21
 ABS_TOL = 1e-9
 REL_TOL = 1e-13

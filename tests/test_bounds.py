@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -135,6 +136,29 @@ class TestClosedFormsAgainstQuadrature:
             padded[: cov.k + 1] = cov.values
             err = levinson_durbin(padded)[2]
             assert rate <= 0.5 * (LOG_2PI_E + math.log(err))
+
+
+class TestDeflate:
+    # synthetic division drops the root pairs beyond _EXTREME before Jensen's
+    # formula; it must give np.polydiv's quotient without its remainder scan
+    def test_real_root_is_bit_identical(self):
+        from entrobound.bounds import _deflate
+
+        poly = np.random.default_rng(8).normal(size=9)
+        for root in (0.013, -4e-3, 2.5):
+            assert np.array_equal(_deflate(poly, root), np.polydiv(poly, [1.0, -root])[0])
+
+    def test_complex_root_agrees_to_rounding(self):
+        from entrobound.bounds import _deflate
+
+        poly = np.random.default_rng(9).normal(size=9)
+        for root in (4e-3 + 9e-3j, -0.3 + 0.2j):
+            # a real dividend, then a complex one as after a first deflation
+            once = np.polydiv(poly, [1.0, -root])[0]
+            for dividend, divisor in ((poly, root), (once, root.conjugate())):
+                expected = np.polydiv(dividend, [1.0, -divisor])[0]
+                ulp = np.spacing(np.abs(expected).max())
+                assert np.abs(_deflate(dividend, divisor) - expected).max() <= 2 * ulp
 
 
 class TestGaussianBoundK:
@@ -387,11 +411,45 @@ class TestPrimalDualSolve:
         assert -1e-12 <= res.duality_gap <= 1e-12
         assert sum(abs(b) for b in res.argmin) == pytest.approx(1.0 - L1_SHRINK, abs=1e-9)
 
-    def test_seeded_sweep_k2_to_k8(self):
+    def test_seeded_sweep_k2_to_k16(self):
         rng = np.random.default_rng(20240)
         for _ in range(2000):
-            res = tdist_bound_k(random_ma_covariance(rng, lags=int(rng.integers(2, 9))))
-            assert -1e-12 <= res.duality_gap <= 1e-11
+            res = tdist_bound_k(random_ma_covariance(rng, lags=int(rng.integers(2, 17))))
+            assert -1e-12 <= res.duality_gap <= 1e-12
+
+    def test_value_is_the_exact_objective(self):
+        # the value is Jensen's formula on the roots of Psi at argmin, so it
+        # carries no quadrature error; a 2^16-node trapezoid rule is an
+        # independent check of it
+        rng = np.random.default_rng(77)
+        covs = [CovarianceSequence(values) for values in HARD_BOUNDARY_CASES]
+        covs += [random_ma_covariance(rng, lags=int(rng.integers(2, 9))) for _ in range(40)]
+        boundary = 0
+        for cov in covs:
+            res = tdist_bound_k(cov)
+            assert res.quadrature_error_estimate == 0.0
+            if res.optimizer_iterations:
+                boundary += 1
+                trapezoid = _grid_objective(cov, np.array([res.argmin]), nodes=2**16)[0]
+                assert res.value == pytest.approx(trapezoid, abs=1e-12)
+        assert boundary >= 20
+
+    def test_overflowing_level_stops_without_warnings(self):
+        # R(m) = 1e6 * 0.9999^m at k = 16: the solve on 512 nodes overflows and
+        # stops at once (later iterates would be NaN), with no RuntimeWarning;
+        # the doubling goes on and certifies the input at a finer level
+        import entrobound.bounds as bounds
+
+        values = tuple(1e6 * 0.9999**m for m in range(17))
+        a = np.asarray(values) + np.eye(17)[0] / 12.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError) as stalled:
+                bounds._central_path(a, bounds._cosine_table(16, 512), 1.0 - L1_SHRINK)
+            res = tdist_bound_k(CovarianceSequence(values))
+        assert len(stalled.value.estimates) == 2
+        assert np.isfinite(stalled.value.estimates).all()
+        assert -1e-12 <= res.duality_gap < 1e-9
 
     def test_near_unit_root_survives_a_stalled_level(self, monkeypatch):
         # R(m) = 1e4 * 0.9999^m: the solve on the first node table stalls and
