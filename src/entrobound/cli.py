@@ -1,8 +1,8 @@
 """Command-line interface: figure tables and generic bound computations.
 
 Exit codes: 0 success, 2 input validation error, 3 numerical non-convergence.
-Grid points are computed in parallel (capped by ENTROBOUND_THREADS) and
-assembled in grid order, so outputs are deterministic and idempotent.
+Grid points are computed one after another in grid order, so outputs are
+deterministic and idempotent.
 """
 
 from __future__ import annotations
@@ -10,9 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -51,21 +49,6 @@ def _grid(start: float, stop: float, step: float) -> list[float]:
     if not steps < MAX_GRID_POINTS - 0.5:
         raise DomainError(f"grid would have more than {MAX_GRID_POINTS} points")
     return [float(f"{start + i * step:.12g}") for i in range(int(round(steps)) + 1)]
-
-
-def _max_workers() -> int:
-    env = os.environ.get("ENTROBOUND_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise DomainError(f"ENTROBOUND_THREADS must be an integer, got {env!r}") from None
-    return max(1, os.cpu_count() or 1)
-
-
-def _map_ordered(fn, items):
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        return list(pool.map(fn, items))
 
 
 def _render_int_column(column: str, values: np.ndarray, fmt: str) -> str:
@@ -133,7 +116,7 @@ def run_fig1(lambda_grid: list[float]) -> tuple[list[str], list[list]]:
         model = processes.PoissonModel(lam)
         return [lam, processes.poisson_entropy(model), processes.poisson_me_bound(model)]
 
-    return ["lambda", "H_poisson", "ME_bound"], _map_ordered(row, lambda_grid)
+    return ["lambda", "H_poisson", "ME_bound"], [row(lam) for lam in lambda_grid]
 
 
 def run_fig2(sigma_list: list[float], theta_grid: list[float]):
@@ -144,7 +127,7 @@ def run_fig2(sigma_list: list[float], theta_grid: list[float]):
         return out
 
     columns = ["theta"] + [f"K_sigma{_fmt(s)}" for s in sigma_list]
-    return columns, _map_ordered(row, theta_grid)
+    return columns, [row(theta) for theta in theta_grid]
 
 
 def run_fig3(sigma: float, theta_grid: list[float]):
@@ -157,7 +140,7 @@ def run_fig3(sigma: float, theta_grid: list[float]):
             processes.qma_th3_bound(model),
         ]
 
-    return ["theta", "H_CE", "H_TH1", "H_TH3"], _map_ordered(row, theta_grid)
+    return ["theta", "H_CE", "H_TH1", "H_TH3"], [row(theta) for theta in theta_grid]
 
 
 def run_fig4(sigma: float, nu: float, phi_grid: list[float], k_list: list[int]):
@@ -169,7 +152,7 @@ def run_fig4(sigma: float, nu: float, phi_grid: list[float], k_list: list[int]):
         return out
 
     columns = ["phi", "H_CE_AR"] + [f"H_TH2_k{k}" for k in k_list]
-    return columns, _map_ordered(row, phi_grid)
+    return columns, [row(phi) for phi in phi_grid]
 
 
 def run_bound_cov(cov: spectrum.CovarianceSequence):

@@ -251,8 +251,20 @@ def _marginal_pmf(scale: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pmf_entropy(p: np.ndarray) -> float:
-    p = p[p > 0]
-    return float(-(p * np.log(p)).sum()) + 0.0  # a one-cell pmf gives 0, not -0
+    """H(Y_1 | Y_0) of a joint pmf p[i, j] that sums to 1; a 1-D pmf is one
+    row, and gives its entropy.  Summed row by row, each row's largest cell
+    through log1p(-rest/row), so that a near-certain row keeps its relative
+    accuracy.  Consumes p: each row's largest cell is set to 0."""
+    p = np.atleast_2d(p)
+    largest = (np.arange(len(p)), p.argmax(axis=1))
+    peak = p[largest]
+    p[largest] = 0.0
+    rest = p.sum(axis=1)
+    row = peak + rest
+    ratio = np.divide(p, row[:, None], out=np.ones_like(p), where=p > 0.0)
+    h = -float(np.vdot(p, np.log(ratio, out=ratio)))
+    h -= float(peak @ np.log1p(-np.divide(rest, row, out=np.zeros_like(row), where=row > 0.0)))
+    return h + 0.0  # a certain pmf gives 0, not -0
 
 
 # Largest joint table _pair_conditional_entropy builds: 2**22 cells (32 MiB).
@@ -263,6 +275,11 @@ MAX_JOINT_CELLS = 2**22
 # The conditional-entropy doubling stops once two levels differ by less than
 # this and the captured joint mass is within 1e-10 of one.
 ENTROPY_TOL = 1e-7
+
+# Spacing of the first s-grid, in units of tau (see below).  Measured: at 1.75
+# some near-unit-root rows took more s-nodes than a fixed 256-panel start, and
+# at 2.5 small-scale H values were 4e-8 off the cell-integral oracle.
+SPACING = 2.0
 
 
 def _pair_conditional_entropy(var: float, cov: float) -> float:
@@ -275,28 +292,37 @@ def _pair_conditional_entropy(var: float, cov: float) -> float:
     it is, so the kernel runs at |cov|: given s both are the same smoothed
     staircase of s, and one table P(Q(s + A) = i | s) per chunk serves rows
     and columns.  The joint pmf is accumulated on the box
-    |i| <= 10*sqrt(var) + 2 over a trapezoid s-grid on 8 standard deviations
-    that doubles until ENTROPY_TOL is met; each doubling adds only the new
-    midpoints to a running sum, so every s-node is evaluated once.  cov = 0
-    gives the marginal entropy.  Erfc blocks are capped at a fixed element
-    count, and a joint table of more than MAX_JOINT_CELLS cells raises
-    DomainError before anything is allocated.
+    |i| <= 10*sqrt(var) + 2 over a trapezoid s-grid.  Its narrowest scale is
+    tau, 1/tau^2 = 1/|cov| + 2/sd^2 with sd^2 = var - |cov|: the weight
+    times two cell edges, and the spread of s where the first off-diagonal
+    cells get their mass, near s* = |cov| / (var + |cov|) <= 1/2.  The grid
+    spans 8 weight sds, or s* + 8 tau where that is wider but the weight has
+    not underflowed (exp(-745) = 0).  It starts at the fewest power-of-two
+    panels of spacing at most SPACING * tau, where the trapezoid already
+    converges exponentially, and doubles until ENTROPY_TOL is met; each
+    doubling adds only the new midpoints to a running sum, so every s-node
+    is evaluated once.  cov = 0 gives the marginal entropy.  Erfc blocks are
+    capped at a fixed element count, and a joint table of more than
+    MAX_JOINT_CELLS cells raises DomainError before anything is allocated.
     """
     scale = math.sqrt(var)
     if cov == 0.0:
         return _pmf_entropy(_marginal_pmf(scale)[1])
-    cells = (2 * _box_halfwidth(scale) + 1) ** 2
+    box = _box_halfwidth(scale)
+    cells = (2 * box + 1) ** 2
     if cells > MAX_JOINT_CELLS:
         raise DomainError(
             f"the conditional-entropy joint table would have {cells} cells "
             f"(marginal scale {scale:.6g}), over the limit of {MAX_JOINT_CELLS}"
         )
-    idx, p_y = _marginal_pmf(scale)
-    shape = (len(idx), len(idx))
+    idx = np.arange(-box, box + 1)
     chunk = _chunk_rows(len(idx) + 1)
     sd = math.sqrt(var - abs(cov))
     weight_sigma = math.sqrt(abs(cov))
-    a, b = -8.0 * weight_sigma, 8.0 * weight_sigma
+    saddle = abs(cov) / (var + abs(cov))
+    tau = sd * math.sqrt(saddle)
+    b = max(8.0 * weight_sigma, min(saddle + 8.0 * tau, math.sqrt(2.0 * 745.0) * weight_sigma))
+    a = -b
     norm = 1.0 / (weight_sigma * math.sqrt(2.0 * math.pi))
 
     def accumulate(p: np.ndarray, s: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -309,28 +335,19 @@ def _pair_conditional_entropy(var: float, cov: float) -> float:
     def density(s: np.ndarray) -> np.ndarray:
         return norm * np.exp(-0.5 * (s / weight_sigma) ** 2)
 
-    def entropy_of(p: np.ndarray) -> tuple[float, float]:
-        # consumes p: clipped and normalized in place, then its buffer holds
-        # p log p over the compacted positive cells
-        total = float(p.sum())
-        np.clip(p, 0.0, None, out=p)
-        p /= total
-        rows = p.sum(axis=1)
-        pn = p[p > 0.0]
-        plogp = np.log(pn, out=p.reshape(-1)[: pn.size])
-        h_joint = float(-np.multiply(pn, plogp, out=plogp).sum())
-        h = h_joint + float((rows * np.log(np.maximum(p_y, 1e-300))).sum())
-        return h, total
-
-    panels = 256
+    panels = 1 << max(0, math.ceil(math.log2((b - a) / (SPACING * tau))))
     s = np.linspace(a, b, panels + 1)
     w = density(s)
     w[0] *= 0.5
     w[-1] *= 0.5
-    unscaled = accumulate(np.zeros(shape), s, w)  # without the panel width
+    unscaled = accumulate(np.zeros((len(idx), len(idx))), s, w)  # without the panel width
     h_prev = math.nan
     while True:
-        h, total = entropy_of(unscaled * ((b - a) / panels))
+        p = unscaled * ((b - a) / panels)
+        total = float(p.sum())
+        np.clip(p, 0.0, None, out=p)
+        p /= total
+        h = _pmf_entropy(p)
         if abs(h - h_prev) < ENTROPY_TOL and abs(total - 1.0) < 1e-10:
             return h
         if panels >= MAX_POINTS:

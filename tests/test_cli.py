@@ -88,19 +88,22 @@ class TestFig3:
     "args,ce_column,bound_column",
     [
         (["fig3", "--sigma", "0.004"], "H_CE", "H_TH3"),
+        # the s-grid stops where the weight underflows, not at the saddle s*
+        (["fig3", "--sigma", "1e-7"], "H_CE", "H_TH3"),
         (["fig4", "--sigma", "0.004", "--nu", "0"], "H_CE_AR", "H_TH2_k3"),
     ],
 )
 def test_r0_underflow_gives_the_univariate_bound(tmp_path, args, ce_column, bound_column):
     # at sigma = 0.004 R(0) underflows to 0.0 on most rows: the quantized
-    # process is 0, and every bound is 1/2 log(2 pi e / 12)
+    # process is 0, and every bound is 1/2 log(2 pi e / 12).  H_CE underflows
+    # too, except on the fig4 rows phi = 0.96 and 0.98 (1.4e-265, 4.3e-134)
     out = tmp_path / "out.csv"
     assert run_cli(args + ["--out", str(out)]) == 0
     rows = read_csv(out)
     assert len(rows) > 10
     for row in rows:
         assert float(row[bound_column]) == pytest.approx(0.5 * math.log(2 * math.pi * math.e / 12), abs=1e-8)
-        assert row[ce_column] == "0"  # not "-0"
+        assert float(row[ce_column]) >= 0.0 and not row[ce_column].startswith("-")
 
 
 class TestFig4:
@@ -331,23 +334,6 @@ class TestJsonMirror:
 
 
 class TestThreadCapAndErrors:
-    def test_thread_env_respected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("ENTROBOUND_THREADS", "1")
-        assert cli._max_workers() == 1
-        out = tmp_path / "fig1.csv"
-        assert run_cli(["fig1", "--lambda-max", "0.2", "--out", str(out)]) == 0
-
-    @pytest.mark.parametrize("value,workers", [("3", 3), ("0", 1), ("-2", 1)])
-    def test_thread_env_value(self, monkeypatch, value, workers):
-        monkeypatch.setenv("ENTROBOUND_THREADS", value)
-        assert cli._max_workers() == workers
-
-    @pytest.mark.parametrize("value", ["abc", "2.5"])
-    def test_thread_env_not_an_integer(self, monkeypatch, capsys, value):
-        monkeypatch.setenv("ENTROBOUND_THREADS", value)
-        assert run_cli(["fig1", "--lambda-max", "0.2", "--out", "-"]) == 2
-        assert "ENTROBOUND_THREADS" in capsys.readouterr().err
-
     def test_non_convergence_exit_code(self, monkeypatch, capsys):
         def boom(grid):
             raise ConvergenceError("stalled", estimates=(1.0, 2.0))

@@ -6,8 +6,8 @@ import pytest
 
 import entrobound
 
-# Run in a fresh interpreter: print the scipy modules loaded after the code.
-_REPORT = "print(','.join(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))))"
+# Run in a fresh interpreter: print the modules of a package loaded after the code.
+_REPORT = "print(','.join(sorted(m for m in sys.modules if m.split('.')[0] == {package!r})))"
 _MAIN = (
     "import io, sys, contextlib\n"
     "from entrobound import cli\n"
@@ -17,10 +17,10 @@ _MAIN = (
 _SIMULATE_MODELS = ("binomial-hmm", "dma", "poisson", "poisson-hmm", "quantized-ar", "quantized-ma")
 
 
-def scipy_modules_after(code: str, cwd) -> str:
+def modules_after(code: str, cwd, package: str = "scipy") -> str:
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(entrobound.__file__)))
     out = subprocess.run(
-        [sys.executable, "-c", f"import sys\n{code}\n{_REPORT}"],
+        [sys.executable, "-c", f"import sys\n{code}\n{_REPORT.format(package=package)}"],
         capture_output=True,
         text=True,
         check=True,
@@ -33,7 +33,12 @@ def scipy_modules_after(code: str, cwd) -> str:
 @pytest.mark.parametrize("module", ["entrobound", "entrobound.cli"])
 def test_import_loads_no_scipy_module(module, tmp_path):
     # scipy.special, scipy.linalg load on first use; signal, optimize, stats never
-    assert scipy_modules_after(f"import {module}", tmp_path) == ""
+    assert modules_after(f"import {module}", tmp_path) == ""
+
+
+def test_cli_import_loads_no_thread_pool(tmp_path):
+    # figure grids run row by row in the calling thread
+    assert modules_after("import entrobound.cli", tmp_path, package="concurrent") == ""
 
 
 # covariance files for bound-cov and bound-psd: a generic sequence, a PSD with
@@ -55,12 +60,12 @@ _COVARIANCES = {
 def test_commands_without_gaussian_cells_load_no_scipy_module(argv, tmp_path):
     for name, values in _COVARIANCES.items():
         (tmp_path / name).write_text(values + "\n")
-    assert scipy_modules_after(_MAIN.format(argv=argv), tmp_path) == ""
+    assert modules_after(_MAIN.format(argv=argv), tmp_path) == ""
 
 
 def test_gaussian_cell_commands_load_scipy_special_on_first_use(tmp_path):
     # the check above can see scipy: fig3's conditional entropy evaluates
     # erfc on Gaussian cells, so scipy.special loads (fig2's moments are
     # Fourier sums and need none)
-    loaded = scipy_modules_after(_MAIN.format(argv=["fig3", "--theta-max", "0.2"]), tmp_path)
+    loaded = modules_after(_MAIN.format(argv=["fig3", "--theta-max", "0.2"]), tmp_path)
     assert "scipy.special" in loaded.split(",")

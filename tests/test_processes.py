@@ -35,6 +35,7 @@ from entrobound.processes import (
     quantize,
 )
 from conftest import (
+    cell_conditional_entropy,
     load_reference,
     qar_rectangle_conditional_entropy,
     qma_rectangle_conditional_entropy,
@@ -455,6 +456,70 @@ class TestConditionalEntropyMemory:
         assert h == pytest.approx(qar_rectangle_conditional_entropy(20.0, 0.9, 0.0), abs=1e-9)
 
 
+class TestConditionalEntropyAccuracy:
+    """The trapezoid's coarse start against oracles that share none of it."""
+
+    def test_fig3_small_sigma_against_cell_oracle(self):
+        # H_CE of 1e-21 to 1e-4 at sigma = 0.05: the rows are near-certain, and
+        # the first off-diagonal cells get their mass near s = cov / (var + cov)
+        for theta in FIG3_THETAS:
+            var, cov = 0.0025 * (1.0 + theta * theta), 0.0025 * theta
+            oracle = float(cell_conditional_entropy(var, cov))
+            h = qma_conditional_entropy(QuantizedMaModel(0.05, theta))
+            assert h == pytest.approx(oracle, rel=1e-9, abs=0.0), theta
+
+    @pytest.mark.parametrize("phi,expected", [(0.96, 1.39033286e-265), (0.98, 4.34515583e-134)])
+    def test_fig4_underflowing_rows_against_cell_oracle(self, phi, expected):
+        # fig4 --sigma 0.004 --nu 0: R(0) underflows, H_CE does not
+        var0 = 0.004**2 / (1.0 - phi * phi)
+        oracle = float(cell_conditional_entropy(var0, var0 * phi))
+        h = qar_conditional_entropy(QuantizedArModel(0.004, phi, 0.0))
+        assert h == pytest.approx(oracle, rel=1e-9, abs=0.0)
+        assert f"{h:.9g}" == f"{expected:.9g}"
+
+    def test_period_one_ripple_near_the_unit_root(self):
+        # a 32-panel start over +-14 weight sds once stopped here at 1.14964:
+        # its first two levels both sampled the period-1 ripple of the
+        # quantizer and agreed with each other
+        h = qar_conditional_entropy(QuantizedArModel(1.0, 0.999, 0.0))
+        assert h == pytest.approx(qar_rectangle_conditional_entropy(1.0, 0.999, 0.0), abs=1e-9)
+        assert h == pytest.approx(1.49593337, abs=1e-8)
+
+    def test_seeded_sweep_against_rectangle_oracles(self):
+        # marginal scales up to 25 keep each rectangle table small.  A third
+        # of the AR points sit at |phi| in [0.998, 0.999] with little noise,
+        # where a too-coarse start can sample the period-1 ripple in step
+        rng = np.random.default_rng(20261018)
+
+        def log_uniform(lo, hi):
+            return float(np.exp(rng.uniform(math.log(lo), math.log(hi))))
+
+        off = {}
+        for _ in range(40):
+            theta = float(rng.uniform(0.0, 2.0))
+            sigma = log_uniform(0.2, min(20.0, 25.0 / math.hypot(1.0, theta)))
+            h = qma_conditional_entropy.__wrapped__(QuantizedMaModel(sigma, theta))
+            gap = h - qma_rectangle_conditional_entropy(sigma, theta)
+            if abs(gap) > 1e-9:
+                off[("ma", sigma, theta)] = gap
+        for k in range(90):
+            if k % 3:
+                phi = float(rng.uniform(-0.999, 0.999))
+                nu = float(rng.choice([0.0, 0.1, 0.5, 4.0]))
+            else:
+                phi = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.998, 0.999))
+                nu = float(rng.choice([0.0, 0.1]))
+            top = min(20.0, math.sqrt((625.0 - nu * nu) * (1.0 - phi * phi)))
+            if top <= 0.2:
+                continue
+            sigma = log_uniform(0.2, top)
+            h = qar_conditional_entropy.__wrapped__(QuantizedArModel(sigma, phi, nu))
+            gap = h - qar_rectangle_conditional_entropy(sigma, phi, nu)
+            if abs(gap) > 1e-9:
+                off[("ar", sigma, phi, nu)] = gap
+        assert not off
+
+
 class TestQuantizedArStatistics:
     def test_degenerate_scale(self):
         assert qar_r0(QuantizedArModel(1e-3, 0.0, 0.0)) == pytest.approx(0.0, abs=1e-12)
@@ -650,29 +715,39 @@ class TestKernelOracles:
                 checked += 1
         assert checked >= 2 * int(15 * sd)
 
+    # (var, cov) = (1.25, 0.5): the s-node tables have sd = sqrt(0.75) (the
+    # marginal would have sqrt(1.25)); tau = sqrt(0.75 * 0.5 / 1.75), and the
+    # grid spans +-8 sqrt(0.5), so the first power of two with spacing at
+    # most 2 tau is 16 panels (16 sqrt(0.5) / (2 tau) = 12.2)
+    START_PANELS = 16
+
     def test_trapezoid_evaluates_each_node_once(self, monkeypatch):
         # each doubling adds only the midpoints: final level + 1 nodes in all
         from entrobound import processes
+
+        step = processes.SPACING * math.sqrt(0.75 * 0.5 / 1.75)
+        assert step * self.START_PANELS / 2 < 16.0 * math.sqrt(0.5) <= step * self.START_PANELS
 
         nodes = []
         inner = processes._interval_probs
 
         def recording(idx, mu, sd):
-            if sd == math.sqrt(0.75):  # the s-node tables; the marginal has sd 1.25**0.5
+            if sd == math.sqrt(0.75):
                 nodes.append(np.array(mu, dtype=float))
             return inner(idx, mu, sd)
 
         monkeypatch.setattr(processes, "_interval_probs", recording)
         processes._pair_conditional_entropy(1.25, 0.5)
+        assert len(nodes[0]) == self.START_PANELS + 1
         s = np.concatenate(nodes)
         panels = len(s) - 1
-        assert panels >= 512 and panels & (panels - 1) == 0
+        assert panels >= 2 * self.START_PANELS and panels & (panels - 1) == 0
         assert len(np.unique(s)) == len(s)
 
     @pytest.mark.parametrize("cov", [0.5, -0.5])
     def test_one_table_per_chunk(self, monkeypatch, cov):
-        # rows and columns share one _interval_probs table: with chunks of 100
-        # s-nodes, a level of n nodes makes ceil(n / 100) calls, no more
+        # rows and columns share one _interval_probs table: with chunks of 5
+        # s-nodes, a level of n nodes makes ceil(n / 5) calls, no more
         from entrobound import processes
 
         sizes = []
@@ -684,13 +759,14 @@ class TestKernelOracles:
             return inner(idx, mu, sd)
 
         monkeypatch.setattr(processes, "_interval_probs", recording)
-        monkeypatch.setattr(processes, "_CHUNK", 100)
+        monkeypatch.setattr(processes, "_CHUNK", 5)
         processes._pair_conditional_entropy(1.25, cov)
-        # levels add 257, 256, 512, ... nodes; none of these is a multiple of 100
-        levels = [257] + [256 * 2**j for j in range(len(sizes))]
-        expected = [rows for n in levels for rows in [100] * (n // 100) + [n % 100]]
+        # levels add 17, 16, 32, ... nodes; none of these is a multiple of 5
+        start = self.START_PANELS
+        levels = [start + 1] + [start * 2**j for j in range(len(sizes))]
+        expected = [rows for n in levels for rows in [5] * (n // 5) + [n % 5]]
         assert sizes == expected[: len(sizes)]
-        assert sum(sizes) - 1 in [256 * 2**j for j in range(len(sizes))]
+        assert sum(sizes) - 1 in [start * 2**j for j in range(1, len(sizes))]
 
     def test_small_sigma_ma_against_simulation(self):
         # severe-quantization regime: most mass collapses onto few integers
@@ -775,10 +851,9 @@ class TestLagCovarianceAtLargeScale:
         var0 = 9e6 / 0.75
         assert ours == pytest.approx(float(quantized_cross_moment(var0, var0, 0.5 * var0)), rel=1e-14, abs=0.0)
 
-    def test_fig2_cli_at_sigma_3000(self, tmp_path, monkeypatch):
+    def test_fig2_cli_at_sigma_3000(self, tmp_path):
         from entrobound import cli
 
-        monkeypatch.setenv("ENTROBOUND_THREADS", "1")
         out = tmp_path / "fig2.csv"
         argv = ["fig2", "--sigma", "3000", "--theta-max", "2", "--theta-step", "1"]
         assert cli.main(argv + ["--out", str(out)]) == 0
