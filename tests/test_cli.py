@@ -88,9 +88,9 @@ class TestFig3:
     "args,ce_column,bound_column",
     [
         (["fig3", "--sigma", "0.004"], "H_CE", "H_TH3"),
+        (["fig4", "--sigma", "0.004", "--nu", "0"], "H_CE_AR", "H_TH2_k3"),
         # the s-grid stops where the weight underflows, not at the saddle s*
         (["fig3", "--sigma", "1e-7"], "H_CE", "H_TH3"),
-        (["fig4", "--sigma", "0.004", "--nu", "0"], "H_CE_AR", "H_TH2_k3"),
     ],
 )
 def test_r0_underflow_gives_the_univariate_bound(tmp_path, args, ce_column, bound_column):
