@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -219,6 +220,7 @@ def run_simulate(args) -> tuple[list[str], np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)  # built once per process; parse_args leaves it as it is
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="entrobound",

@@ -216,14 +216,20 @@ def _interval_probs(idx: np.ndarray, mu: np.ndarray, sd: float) -> np.ndarray:
     return _cell_probs((edges[None, :] - np.asarray(mu, dtype=float)[:, None]) / sd)
 
 
+def _lattice_rows(idx: np.ndarray, s: np.ndarray, sd: float) -> np.ndarray:
+    """:func:`_interval_probs` at nodes s = q + f, q an integer and 0 <= f < 1:
+    cell i is cell i - q of N(f, sd^2), so one table with a row per distinct
+    offset f and a column per integer the nodes reach serves every node."""
+    q = np.floor(s).astype(np.intp)
+    offsets, row = np.unique(s - q, return_inverse=True)
+    table = _interval_probs(np.arange(idx[0] - q.max(), idx[-1] - q.min() + 1), offsets, sd)
+    return table[row[:, None], idx - idx[0] + q.max() - q[:, None]]
+
+
 _CHUNK = 8192
-# elements per erfc block: rows of a block are capped so that no block grows
-# with the number of columns; the paper grids (<= 229 columns) keep _CHUNK rows
+# erfc elements per block.  A chunk of n nodes has < n * (box width + 3) edges:
+# its r offset rows reach <= n/r + 1 more integers, or r = 1 and h < box width
 _BLOCK_ELEMENTS = 2**21
-
-
-def _chunk_rows(ncols: int) -> int:
-    return max(1, min(_CHUNK, _BLOCK_ELEMENTS // ncols))
 
 
 # Largest half-width, in cells, of the index box the Gaussian-cell kernels
@@ -276,9 +282,9 @@ MAX_JOINT_CELLS = 2**22
 # this and the captured joint mass is within 1e-10 of one.
 ENTROPY_TOL = 1e-7
 
-# Spacing of the first s-grid, in units of tau (see below).  Measured: at 1.75
-# some near-unit-root rows took more s-nodes than a fixed 256-panel start, and
-# at 2.5 small-scale H values were 4e-8 off the cell-integral oracle.
+# Bound on the first s-grid spacing, in units of tau (see below).  Measured on
+# a 3,030-row sweep: 1.5 takes 3 % more s-nodes than 2, 1.75 as many, and from
+# 2.5 on some rows stop early, up to 1.8e-8 relative off the converged value.
 SPACING = 2.0
 
 
@@ -290,20 +296,21 @@ def _pair_conditional_entropy(var: float, cov: float) -> float:
     s ~ N(0, |cov|) and A, B ~ N(0, var - |cov|) independent.  Q(-u) = -Q(u)
     off the cell edges, and relabelling Y_1 as -Y_1 leaves H(Y_1 | Y_0) as
     it is, so the kernel runs at |cov|: given s both are the same smoothed
-    staircase of s, and one table P(Q(s + A) = i | s) per chunk serves rows
-    and columns.  The joint pmf is accumulated on the box
-    |i| <= 10*sqrt(var) + 2 over a trapezoid s-grid.  Its narrowest scale is
-    tau, 1/tau^2 = 1/|cov| + 2/sd^2 with sd^2 = var - |cov|: the weight
-    times two cell edges, and the spread of s where the first off-diagonal
-    cells get their mass, near s* = |cov| / (var + |cov|) <= 1/2.  The grid
-    spans 8 weight sds, or s* + 8 tau where that is wider but the weight has
-    not underflowed (exp(-745) = 0).  It starts at the fewest power-of-two
-    panels of spacing at most SPACING * tau, where the trapezoid already
-    converges exponentially, and doubles until ENTROPY_TOL is met; each
-    doubling adds only the new midpoints to a running sum, so every s-node
-    is evaluated once.  cov = 0 gives the marginal entropy.  Erfc blocks are
-    capped at a fixed element count, and a joint table of more than
-    MAX_JOINT_CELLS cells raises DomainError before anything is allocated.
+    staircase of s, and one table P(Q(s + A) = i | s) serves rows and
+    columns.  The joint pmf is accumulated on the box |i| <= 10*sqrt(var) + 2
+    over a trapezoid s-grid.  Its narrowest scale is tau,
+    1/tau^2 = 1/|cov| + 2/sd^2 with sd^2 = var - |cov|: the weight times two
+    cell edges, and the spread of s where the first off-diagonal cells get
+    their mass, near s* = |cov| / (var + |cov|) <= 1/2.  The nodes lie on
+    h * Z, h the largest power of two <= SPACING * tau, out to 8 weight sds,
+    or s* + 8 tau where that is wider but the weight has not underflowed
+    (exp(-745) = 0).  h halves until ENTROPY_TOL is met; each level adds
+    only its new midpoints, so every s-node is evaluated once.  By the
+    symmetry (s, i, j) -> (-s, -i, -j) only s >= 0 is summed (s = 0 at half
+    weight), and H over rows i >= 0.  On h * Z a chunk of nodes needs one
+    erfc table, a row per fractional offset (:func:`_lattice_rows`), and
+    its size is capped.  cov = 0 gives the marginal entropy.  A joint table
+    of more than MAX_JOINT_CELLS cells raises DomainError before allocating.
     """
     scale = math.sqrt(var)
     if cov == 0.0:
@@ -316,49 +323,50 @@ def _pair_conditional_entropy(var: float, cov: float) -> float:
             f"(marginal scale {scale:.6g}), over the limit of {MAX_JOINT_CELLS}"
         )
     idx = np.arange(-box, box + 1)
-    chunk = _chunk_rows(len(idx) + 1)
+    chunk = max(1, min(_CHUNK, _BLOCK_ELEMENTS // (len(idx) + 3)))
     sd = math.sqrt(var - abs(cov))
     weight_sigma = math.sqrt(abs(cov))
     saddle = abs(cov) / (var + abs(cov))
     tau = sd * math.sqrt(saddle)
     b = max(8.0 * weight_sigma, min(saddle + 8.0 * tau, math.sqrt(2.0 * 745.0) * weight_sigma))
-    a = -b
+    step = 2.0 ** math.floor(math.log2(SPACING * tau))
+    panels = math.ceil(b / step)
     norm = 1.0 / (weight_sigma * math.sqrt(2.0 * math.pi))
 
-    def accumulate(p: np.ndarray, s: np.ndarray, w: np.ndarray) -> np.ndarray:
+    def accumulate(joint: np.ndarray, s: np.ndarray, w: np.ndarray) -> np.ndarray:
         # add the sum over nodes of w(s) * outer(P(Y_0 = i | s), P(Y_1 = j | s))
         for start in range(0, len(s), chunk):
-            rows = _interval_probs(idx, s[start : start + chunk], sd)
-            p += rows.T @ (rows * w[start : start + chunk, None])
-        return p
+            rows = _lattice_rows(idx, s[start : start + chunk], sd)
+            joint += rows.T @ (rows * w[start : start + chunk, None])
+        return joint
 
     def density(s: np.ndarray) -> np.ndarray:
         return norm * np.exp(-0.5 * (s / weight_sigma) ** 2)
 
-    panels = 1 << max(0, math.ceil(math.log2((b - a) / (SPACING * tau))))
-    s = np.linspace(a, b, panels + 1)
+    s = step * np.arange(panels + 1)
     w = density(s)
-    w[0] *= 0.5
+    w[0] *= 0.5  # s = 0 is shared with the s <= 0 half
     w[-1] *= 0.5
-    unscaled = accumulate(np.zeros((len(idx), len(idx))), s, w)  # without the panel width
+    unscaled = accumulate(np.zeros((len(idx), len(idx))), s, w)  # without the spacing
     h_prev = math.nan
     while True:
-        p = unscaled * ((b - a) / panels)
-        total = float(p.sum())
-        np.clip(p, 0.0, None, out=p)
-        p /= total
+        total = 2.0 * step * float(unscaled.sum())
+        p = unscaled[box:] + unscaled[box::-1, ::-1]  # rows i >= 0 of the joint
+        p *= step / total
+        p[1:] *= 2.0  # rows i < 0 mirror rows i > 0
         h = _pmf_entropy(p)
         if abs(h - h_prev) < ENTROPY_TOL and abs(total - 1.0) < 1e-10:
             return h
-        if panels >= MAX_POINTS:
+        if 2 * panels >= MAX_POINTS:
             raise ConvergenceError(
                 "joint mass deficit persists; the truncated index box is likely "
                 "too small - enlarge the box or the node budget",
                 estimates=(h_prev, h),
             )
         h_prev = h
-        s = a + (b - a) * (np.arange(panels) + 0.5) / panels
+        s = step * (np.arange(panels) + 0.5)
         accumulate(unscaled, s, density(s))
+        step *= 0.5
         panels *= 2
 
 

@@ -343,3 +343,26 @@ class TestThreadCapAndErrors:
         err = capsys.readouterr().err
         assert "non-convergence" in err
         assert "last estimates: 1.0, 2.0" in err
+
+
+class TestParserReuse:
+    """The parser is built once per process, so one call's options must not
+    carry into the next."""
+
+    def test_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    @pytest.mark.parametrize(
+        "first,second,header",
+        [
+            (["fig2", "--sigma", "3"], ["fig2"], "theta,K_sigma1,K_sigma5"),
+            (["fig4", "--k", "5"], ["fig4"], "phi,H_CE_AR,H_TH2_k2,H_TH2_k3"),
+        ],
+        ids=["fig2-sigma", "fig4-k"],
+    )
+    def test_append_options_do_not_leak(self, first, second, header, tmp_path):
+        grid = {"fig2": ["--theta-step", "1"], "fig4": ["--phi-max", "0.7"]}[first[0]]
+        out = tmp_path / "second.csv"
+        assert run_cli(first + grid + ["--out", str(tmp_path / "first.csv")]) == 0
+        assert run_cli(second + grid + ["--out", str(out)]) == 0
+        assert out.read_text().splitlines()[0] == header

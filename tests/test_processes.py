@@ -42,6 +42,7 @@ from conftest import (
     quantized_cross_moment,
     quantized_rectangle_cross_moment,
     quantized_second_moment,
+    rectangle_conditional_entropy,
 )
 
 # the theta grid of fig3, and its (sigma, theta) points whose frozen H_CE
@@ -455,6 +456,56 @@ class TestConditionalEntropyMemory:
         assert max(blocks) <= processes._BLOCK_ELEMENTS < processes._CHUNK * 924
         assert h == pytest.approx(qar_rectangle_conditional_entropy(20.0, 0.9, 0.0), abs=1e-9)
 
+    # rows whose spacing h is far below one cell (2^-15 at (1 + 1e-18, 1e-9)),
+    # so that one lattice vector of step h across the index box would be
+    # long; the chunk tables stay small.  erfc elements: the per-node tables
+    # of the uniform s-grid took 858, 2,056, 520 and 4,104
+    @pytest.mark.parametrize(
+        "var,cov,elements,oracle",
+        [
+            (1.0 + 1e-18, 1e-9, 546, lambda: rectangle_conditional_entropy(1.0, 1e-9)),
+            (2e-14, 1e-14, 1048, lambda: cell_conditional_entropy(2e-14, 1e-14)),
+            (0.005, 0.0025, 312, lambda: cell_conditional_entropy(0.005, 0.0025)),
+            (1e-8, 9e-9, 1928, lambda: cell_conditional_entropy(1e-8, 9e-9)),
+        ],
+        ids=["scale-1", "scale-1.4e-7", "fig3-sigma-0.05", "scale-1e-4"],
+    )
+    @pytest.mark.parametrize("cap", [None, 256], ids=["default-cap", "cap-256"])
+    def test_fine_lattice_blocks_capped(self, monkeypatch, var, cov, elements, oracle, cap):
+        from entrobound import processes
+
+        if cap is not None:
+            monkeypatch.setattr(processes, "_BLOCK_ELEMENTS", cap)
+        blocks = []
+        inner = processes._interval_probs
+
+        def recording(idx, mu, sd):
+            blocks.append(np.size(mu) * (len(idx) + 1))
+            return inner(idx, mu, sd)
+
+        monkeypatch.setattr(processes, "_interval_probs", recording)
+        h = processes._pair_conditional_entropy(var, cov)
+        assert max(blocks) <= processes._BLOCK_ELEMENTS
+        if cap is None:
+            assert sum(blocks) <= elements
+        assert h == pytest.approx(float(oracle()), rel=1e-9, abs=0.0)
+
+    def test_erfc_elements_per_row(self, monkeypatch):
+        # fig3 sigma = 5, theta = 1: 9,620 erfc elements with a table per
+        # s-node on the uniform grid, 372 with a table per offset on h * Z
+        from entrobound import processes
+
+        elements = [0]
+        inner = processes._interval_probs
+
+        def recording(idx, mu, sd):
+            elements[0] += np.size(mu) * (len(idx) + 1)
+            return inner(idx, mu, sd)
+
+        monkeypatch.setattr(processes, "_interval_probs", recording)
+        processes._pair_conditional_entropy(50.0, 25.0)
+        assert elements[0] <= 9620 // 10
+
 
 class TestConditionalEntropyAccuracy:
     """The trapezoid's coarse start against oracles that share none of it."""
@@ -715,58 +766,70 @@ class TestKernelOracles:
                 checked += 1
         assert checked >= 2 * int(15 * sd)
 
-    # (var, cov) = (1.25, 0.5): the s-node tables have sd = sqrt(0.75) (the
-    # marginal would have sqrt(1.25)); tau = sqrt(0.75 * 0.5 / 1.75), and the
-    # grid spans +-8 sqrt(0.5), so the first power of two with spacing at
-    # most 2 tau is 16 panels (16 sqrt(0.5) / (2 tau) = 12.2)
-    START_PANELS = 16
+    # (var, cov) = (1.25, 0.5): the cell tables have sd = sqrt(0.75) (the
+    # marginal would have sqrt(1.25)); tau = sqrt(0.75 * 0.5 / 1.75), so the
+    # spacing is h = 1/2, the largest power of two <= 2 tau = 0.93, and the
+    # grid spans +-8 sqrt(0.5) = +-5.66, rounded out to +-12 h
+    STEP, HALF_PANELS = 0.5, 12
 
     def test_trapezoid_evaluates_each_node_once(self, monkeypatch):
-        # each doubling adds only the midpoints: final level + 1 nodes in all
+        # only the s >= 0 half of the grid is evaluated, and each level adds
+        # only its midpoints: every node of the final half grid once, while
+        # the full grid's 2n + 1 nodes double their panels at each level
         from entrobound import processes
 
-        step = processes.SPACING * math.sqrt(0.75 * 0.5 / 1.75)
-        assert step * self.START_PANELS / 2 < 16.0 * math.sqrt(0.5) <= step * self.START_PANELS
+        tau = math.sqrt(0.75 * 0.5 / 1.75)
+        assert self.STEP <= processes.SPACING * tau < 2 * self.STEP
+        assert math.ceil(8.0 * math.sqrt(0.5) / self.STEP) == self.HALF_PANELS
 
-        nodes = []
-        inner = processes._interval_probs
+        levels = []
+        inner = processes._lattice_rows
 
-        def recording(idx, mu, sd):
+        def recording(idx, s, sd):
             if sd == math.sqrt(0.75):
-                nodes.append(np.array(mu, dtype=float))
-            return inner(idx, mu, sd)
+                levels.append(np.array(s, dtype=float))
+            return inner(idx, s, sd)
 
-        monkeypatch.setattr(processes, "_interval_probs", recording)
+        monkeypatch.setattr(processes, "_lattice_rows", recording)
         processes._pair_conditional_entropy(1.25, 0.5)
-        assert len(nodes[0]) == self.START_PANELS + 1
-        s = np.concatenate(nodes)
-        panels = len(s) - 1
-        assert panels >= 2 * self.START_PANELS and panels & (panels - 1) == 0
-        assert len(np.unique(s)) == len(s)
+        assert len(levels) >= 2
+        full = [2 * sum(map(len, levels[: k + 1])) - 1 for k in range(len(levels))]
+        assert full == [2 * self.HALF_PANELS * 2**k + 1 for k in range(len(levels))]
+        spacing = self.STEP / 2 ** (len(levels) - 1)
+        half_grid = spacing * np.arange(self.HALF_PANELS * 2 ** (len(levels) - 1) + 1)
+        np.testing.assert_array_equal(np.sort(np.concatenate(levels)), half_grid)
 
     @pytest.mark.parametrize("cov", [0.5, -0.5])
     def test_one_table_per_chunk(self, monkeypatch, cov):
-        # rows and columns share one _interval_probs table: with chunks of 5
-        # s-nodes, a level of n nodes makes ceil(n / 5) calls, no more
+        # with chunks of 5 s-nodes, each chunk makes one _interval_probs table
+        # with a row per distinct fractional offset: level 0 (spacing 1/2) and
+        # level 1 (the 1/4 + Z/2 midpoints) have 2 offsets, level k >= 2 has 2^k
         from entrobound import processes
 
-        sizes = []
-        inner = processes._interval_probs
+        chunks, tables = [], []
+        inner_rows, inner_probs = processes._lattice_rows, processes._interval_probs
 
-        def recording(idx, mu, sd):
+        def recording_rows(idx, s, sd):
             if sd == math.sqrt(0.75):
-                sizes.append(np.size(mu))
-            return inner(idx, mu, sd)
+                chunks.append(np.array(s, dtype=float))
+            return inner_rows(idx, s, sd)
 
-        monkeypatch.setattr(processes, "_interval_probs", recording)
+        def recording_probs(idx, mu, sd):
+            if sd == math.sqrt(0.75):
+                tables.append(np.size(mu))
+            return inner_probs(idx, mu, sd)
+
+        monkeypatch.setattr(processes, "_lattice_rows", recording_rows)
+        monkeypatch.setattr(processes, "_interval_probs", recording_probs)
         monkeypatch.setattr(processes, "_CHUNK", 5)
         processes._pair_conditional_entropy(1.25, cov)
-        # levels add 17, 16, 32, ... nodes; none of these is a multiple of 5
-        start = self.START_PANELS
-        levels = [start + 1] + [start * 2**j for j in range(len(sizes))]
-        expected = [rows for n in levels for rows in [5] * (n // 5) + [n % 5]]
-        assert sizes == expected[: len(sizes)]
-        assert sum(sizes) - 1 in [start * 2**j for j in range(1, len(sizes))]
+        # levels add 13, 12, 24, 48, ... nodes
+        levels = [self.HALF_PANELS + 1] + [self.HALF_PANELS * 2**k for k in range(len(chunks))]
+        sizes = [(level, n) for level, total in enumerate(levels) for n in [5] * (total // 5) + [total % 5] if n]
+        assert [len(s) for s in chunks] == [n for _, n in sizes[: len(chunks)]]
+        assert len(tables) == len(chunks)
+        for (level, n), s, rows in zip(sizes, chunks, tables):
+            assert rows == len(np.unique(s % 1.0)) == min(2 ** max(level, 1), n)
 
     def test_small_sigma_ma_against_simulation(self):
         # severe-quantization regime: most mass collapses onto few integers
