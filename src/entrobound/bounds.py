@@ -38,10 +38,6 @@ LOG_2PI_E = math.log(2.0 * math.pi * math.e)
 _NEAR_CIRCLE, _EXTREME = 1e-3, 1e2
 _EPS = np.finfo(float).eps
 
-# The feasible region sum|beta_m| < 1 is open; the optimizer works on the
-# shrunken closed region sum|beta_m| <= 1 - L1_SHRINK.
-L1_SHRINK = 1e-6
-
 # Primal-dual solve of the boundary case: multipliers start at _MU_START /
 # slack; each step goes _STEP_FRACTION of the way to the nearest bound; after
 # a step that raised slack . multipliers, the centring weight is at least
@@ -204,12 +200,12 @@ def _cosine_table(k: int, n: int) -> np.ndarray:
 
 
 @np.errstate(over="raise", divide="raise", invalid="raise")
-def _central_path(a: np.ndarray, table: np.ndarray, limit: float):
-    """Primal-dual solve of min a.p - mean log Psi_p over sum_m |p_m| <= limit*p_0.
+def _central_path(a: np.ndarray, table: np.ndarray):
+    """Primal-dual solve of min a.p - mean log Psi_p over sum_m |p_m| <= p_0.
 
     Psi_p(lambda) = p_0 + sum_m p_m cos(m*lambda), averaged over the nodes
     of ``table``.  The variables are x = (p_0..p_k, t_1..t_k) with the
-    2k + 1 linear slacks s = (t_m - p_m, t_m + p_m, limit*p_0 - sum_m t_m)
+    2k + 1 linear slacks s = (t_m - p_m, t_m + p_m, p_0 - sum_m t_m)
     and their multipliers lam.  Mehrotra predictor-corrector steps
     (Mehrotra, SIAM J. Optim. 2, 1992) condense t out of each Newton system
     in closed form and move x, s and lam by one common step length.  s is
@@ -221,8 +217,8 @@ def _central_path(a: np.ndarray, table: np.ndarray, limit: float):
     k = len(a) - 1
     n = table.shape[1]
     p = np.eye(k + 1)[0] / a[0]
-    t = np.full(k, limit / ((k + 1) * a[0]))
-    s = np.concatenate((t - p[1:], t + p[1:], [limit * p[0] - t.sum()]))
+    t = np.full(k, 1.0 / ((k + 1) * a[0]))
+    s = np.concatenate((t - p[1:], t + p[1:], [p[0] - t.sum()]))
     lam = _MU_START / s
     diag = np.arange(1, k + 1)
     rose = False
@@ -231,7 +227,7 @@ def _central_path(a: np.ndarray, table: np.ndarray, limit: float):
         for steps in range(_MAX_ITERATIONS + 1):
             # dual residuals: gradient minus constraint normals times multipliers
             w = table / (p @ table)
-            r_p = a - w.sum(axis=1) / n - np.append(limit * lam[-1], lam[k:-1] - lam[:k])
+            r_p = a - w.sum(axis=1) / n - np.append(lam[-1], lam[k:-1] - lam[:k])
             r_t = lam[-1] - lam[:k] - lam[k:-1]
             gap = float(s @ lam)
             estimates = (gap, max(np.abs(r_p).max(), np.abs(r_t).max()))
@@ -245,7 +241,7 @@ def _central_path(a: np.ndarray, table: np.ndarray, limit: float):
             q = lam / s
             q1, q2, q3 = q[:k], q[k:-1], q[-1]
             d = q1 + q2
-            e = np.concatenate(([limit], (q2 - q1) / d))
+            e = np.concatenate(([1.0], (q2 - q1) / d))
             rho = 1.0 / (1.0 / q3 + (1.0 / d).sum())
             hess = (w @ w.T) / n
             hess[diag, diag] += 4.0 * q1 * q2 / d
@@ -258,11 +254,11 @@ def _central_path(a: np.ndarray, table: np.ndarray, limit: float):
                 v = r_c / s
                 b_t = v[:k] + v[k:-1] - v[-1] - r_t
                 sig_t = (b_t / d).sum()
-                rhs = rho * sig_t * e - r_p + np.append(limit * v[-1], v[k:-1] - v[:k] - e[1:] * b_t)
+                rhs = rho * sig_t * e - r_p + np.append(v[-1], v[k:-1] - v[:k] - e[1:] * b_t)
                 y = scale * (inv @ (scale * rhs))
                 dp = y - (e @ y) * z
                 dt = (b_t - rho * (sig_t - e @ dp)) / d - e[1:] * dp[1:]
-                ds = np.concatenate((dt - dp[1:], dt + dp[1:], [limit * dp[0] - dt.sum()]))
+                ds = np.concatenate((dt - dp[1:], dt + dp[1:], [dp[0] - dt.sum()]))
                 return dp, dt, ds, (r_c - lam * ds) / s
 
             def max_step(ds, dlam):
@@ -286,19 +282,19 @@ def _central_path(a: np.ndarray, table: np.ndarray, limit: float):
     )
 
 
-def _dual_bound(a: np.ndarray, beta: np.ndarray, table: np.ndarray, limit: float) -> float:
+def _dual_bound(a: np.ndarray, beta: np.ndarray, table: np.ndarray) -> float:
     """A lower bound on the order-k minimum from the moments of 1/Psi at beta.
 
     For mu >= 0 and |z_m| <= mu, weak duality bounds the minimum below by the
-    Gaussian maximum-entropy value of (a_0 - mu*limit, a_1 + z_1, ...,
+    Gaussian maximum-entropy value of (a_0 - mu, a_1 + z_1, ...,
     a_k + z_k), which Levinson-Durbin gives in closed form.  The multipliers
     are read off g_m = mean(cos(m*lambda) / Psi_p) at p = (1, beta) / Sigma(beta)
-    through the KKT conditions g = (a_0 - mu*limit, a_1 + z_1, ...), so the
+    through the KKT conditions g = (a_0 - mu, a_1 + z_1, ...), so the
     bound is tight when beta is optimal.
     """
     g = (a[0] + beta @ a[1:]) * (table / (1.0 + beta @ table[1:])).mean(axis=1)
-    mu = max(0.0, (a[0] - g[0]) / limit)
-    dual = np.concatenate(([a[0] - mu * limit], a[1:] + np.clip(g[1:] - a[1:], -mu, mu)))
+    mu = max(0.0, a[0] - g[0])
+    dual = np.concatenate(([a[0] - mu], a[1:] + np.clip(g[1:] - a[1:], -mu, mu)))
     _, kappas, err = levinson_durbin(dual)
     if not (dual[0] > 0.0 and abs(kappas[-1]) < 1.0):
         return -math.inf
@@ -326,9 +322,10 @@ def tdist_bound_k(cov: CovarianceSequence) -> BoundResult:
     """Order-k bound from the covariances [R(0), ..., R(k)].
 
     Minimizes 1/2 log(2*pi*e*Sigma(beta)) - (1/4pi) Int log Psi(beta, lambda)
-    over the shrunken region sum|beta_m| <= 1 - 1e-6, where
-    Sigma(beta) = (R(0) + 1/12) + sum_m beta_m R(m) and
-    Psi(beta, lambda) = 1 + sum_m beta_m cos(m*lambda).
+    over sum|beta_m| < 1, where Sigma(beta) = (R(0) + 1/12) + sum_m beta_m R(m)
+    and Psi(beta, lambda) = 1 + sum_m beta_m cos(m*lambda).  Psi(t*beta) >=
+    t*Psi(beta) for t in [0, 1], so by dominated convergence the infimum is
+    the minimum over the closed region sum|beta_m| <= 1.
 
     Without the region the minimum is Burg's maximum-entropy value
     1/2 log(2*pi*e*sigma_k^2), with sigma_k^2 the order-k Levinson-Durbin
@@ -349,8 +346,7 @@ def tdist_bound_k(cov: CovarianceSequence) -> BoundResult:
     a, poly, err = _burg(cov)
     c = np.correlate(poly, poly, "full")[k:]
     beta = 2.0 * c[1:] / c[0]
-    limit = 1.0 - L1_SHRINK
-    if np.abs(beta).sum() <= limit:
+    if np.abs(beta).sum() <= 1.0:
         return BoundResult(
             value=0.5 * (LOG_2PI_E + math.log(err)),
             argmin=[float(b) for b in beta],
@@ -360,7 +356,7 @@ def tdist_bound_k(cov: CovarianceSequence) -> BoundResult:
     for level in range(8, MAX_POINTS.bit_length()):  # 256, 512, ..., MAX_POINTS nodes
         table = _cosine_table(k, 2**level)
         try:
-            x, used = _central_path(a, table, limit)
+            x, used = _central_path(a, table)
         except ConvergenceError:  # a stalled level: try the next one
             steps += _MAX_ITERATIONS
             continue
@@ -368,10 +364,10 @@ def tdist_bound_k(cov: CovarianceSequence) -> BoundResult:
         # the path stops just inside the region: scale beta onto its boundary,
         # take the exact objective there and certify it on the same table
         path_beta = x[1 : k + 1] / x[0]
-        beta = path_beta * (limit / np.abs(path_beta).sum())
+        beta = path_beta / np.abs(path_beta).sum()
         log_psi = _cosine_log_integral(np.concatenate(([1.0], 0.5 * beta)))
         value = 0.5 * (LOG_2PI_E + math.log(a[0] + beta @ a[1:]) - log_psi)
-        gap = value - _dual_bound(a, path_beta, table, limit)
+        gap = value - _dual_bound(a, path_beta, table)
         estimates = (value, gap)
         if gap < ABS_TOL:
             argmin = [float(b) for b in beta]

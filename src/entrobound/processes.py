@@ -309,9 +309,12 @@ def _pair_conditional_entropy(var: float, cov: float) -> float:
     symmetry (s, i, j) -> (-s, -i, -j) only s >= 0 is summed (s = 0 at half
     weight), and H over rows i >= 0.  On h * Z a chunk of nodes needs one
     erfc table, a row per fractional offset (:func:`_lattice_rows`), and
-    its size is capped.  cov = 0 gives the marginal entropy.  A joint table
-    of more than MAX_JOINT_CELLS cells raises DomainError before allocating.
+    its size is capped.  cov = 0 gives the marginal entropy, and var = 0
+    (Y identically 0) gives 0.  A joint table of more than MAX_JOINT_CELLS
+    cells raises DomainError before allocating.
     """
+    if var == 0.0:
+        return 0.0
     scale = math.sqrt(var)
     if cov == 0.0:
         return _pmf_entropy(_marginal_pmf(scale)[1])

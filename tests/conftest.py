@@ -221,6 +221,36 @@ def quantized_cross_moment(var_x: float, var_y: float, cov: float, terms: int = 
         return total
 
 
+def hmm_entropy_sandwich(model, n: int = 5) -> tuple[float, float]:
+    """(lower, upper) on the entropy rate H of a binomial hidden Markov process.
+
+    H(Y_n | Y^(n-1), X_1) <= H <= H(Y_n | Y^(n-1)) (Cover & Thomas, Thm
+    4.5.1), each a difference of block entropies over every sequence of n
+    emissions.  A forward recursion carries P(Y^L = y, X_L = x | X_1 = x_1)
+    for all (trials + 1)^L sequences y at once.
+    """
+    g1, g2 = model.gamma1, model.gamma2
+    trans = np.array([[1.0 - g1, g1], [g2, 1.0 - g2]])
+    trials = model.emission.trials
+    y = np.arange(trials + 1)
+    choose = np.array([math.comb(trials, int(j)) for j in y], dtype=float)
+    emit = np.stack([choose * p**y * (1.0 - p) ** (trials - y) for p in (model.emission.p1, model.emission.p2)], axis=1)
+    start = np.asarray(model.stationary)
+
+    def block_entropies(alpha):
+        given_x1 = alpha.sum(axis=2)  # P(Y^L = y | X_1 = x_1)
+        entropy = [-(p * np.log(p)).sum() for p in (start @ given_x1, *given_x1)]
+        return entropy[0], start @ entropy[1:]
+
+    alpha = np.eye(2)[:, None, :] * emit[None, :, :]
+    blocks = [block_entropies(alpha)]
+    for _ in range(n - 1):
+        alpha = ((alpha @ trans)[:, :, None, :] * emit[None, None, :, :]).reshape(2, -1, 2)
+        blocks.append(block_entropies(alpha))
+    (h_before, h_before_x1), (h_n, h_n_x1) = blocks[-2:]
+    return h_n_x1 - h_before_x1, h_n - h_before
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

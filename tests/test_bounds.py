@@ -6,7 +6,6 @@ import pytest
 from scipy import integrate
 
 from entrobound.bounds import (
-    L1_SHRINK,
     gaussian_bound_k,
     gaussian_entropy_rate,
     gaussian_psd_bound,
@@ -15,7 +14,7 @@ from entrobound.bounds import (
     univariate_me_bound,
 )
 from entrobound.numerics import ConvergenceError, DomainError
-from entrobound.processes import BinomialEmission, TwoStateHmm, hmm_psd
+from entrobound.processes import BinomialEmission, TwoStateHmm, hmm_covariance, hmm_entropy_bound, hmm_psd
 from entrobound.spectrum import (
     CovarianceSequence,
     SpectralDensity,
@@ -23,7 +22,7 @@ from entrobound.spectrum import (
     psd_from_finite_covariance,
 )
 
-from conftest import random_ma_covariance
+from conftest import hmm_entropy_sandwich, random_ma_covariance
 
 LOG_2PI_E = math.log(2 * math.pi * math.e)
 
@@ -271,7 +270,7 @@ class TestTdistBoundK:
             r1 = float(r0 * rng.uniform(-1.0, 1.0))
             v1 = tdist_bound_1(r0, r1).value
             vk = tdist_bound_k(CovarianceSequence((r0, r1))).value
-            assert abs(v1 - vk) < 1e-6
+            assert abs(v1 - vk) <= 1e-12
 
     def test_quantized_ar_order3(self):
         from entrobound.processes import QuantizedArModel, qar_th2_bound
@@ -290,9 +289,39 @@ class TestTdistBoundK:
             for lo, hi in zip(vals[1:], vals[:-1]):
                 assert lo <= hi + 1e-6
 
+    @pytest.mark.parametrize("v", [1e2, 1e4, 1e6, 1e8])
+    @pytest.mark.parametrize("rho", [0.99, 0.999, 0.9999, -0.999, -0.9999])
+    def test_near_unit_root_chain_starts_at_order1(self, v, rho):
+        # R(m) = v * rho^m: order 1 equals tdist_bound_1's closed form, and
+        # along k = 1..16 (which spans k = 2, 3, 4, 8, 16) no order exceeds
+        # the one before by more than its own certified gap: the order-(k-1)
+        # region is the order-k region at beta_k = 0
+        values = tuple(v * rho**m for m in range(17))
+        previous = tdist_bound_1(values[0], values[1]).value
+        for k in range(1, 17):
+            res = tdist_bound_k(CovarianceSequence(values[: k + 1]))
+            if k == 1:
+                assert res.value == pytest.approx(previous, abs=1e-12)
+            assert res.value <= previous + res.duality_gap + 1e-12
+            previous = res.value
+
     def test_degrades_to_white(self):
         res = tdist_bound_k(CovarianceSequence((3.0, 0.0, 0.0, 0.0)))
         assert abs(res.value - univariate_me_bound(3.0)) < 1e-9
+
+
+@pytest.mark.parametrize("gammas", [(0.1, 0.3), (0.7, 0.6), (0.01, 0.02)])
+def test_bounds_above_the_true_entropy_rate(gammas):
+    # the enumerated sandwich H(Y_5 | Y^4, X_1) <= H <= H(Y_5 | Y^4) brackets
+    # the true rate; every bound must lie above its upper end
+    model = TwoStateHmm(*gammas, BinomialEmission(10, 0.2, 0.8))
+    lower, upper = hmm_entropy_sandwich(model)
+    assert lower <= upper <= lower + 1e-5
+    assert hmm_entropy_bound(model).value >= upper
+    for k in (1, 2, 4, 8):
+        cov = CovarianceSequence(tuple(hmm_covariance(model, m) for m in range(k + 1)))
+        assert tdist_bound_k(cov).value >= upper
+        assert gaussian_bound_k(cov).value >= upper
 
 
 class TestDitheringSanity:
@@ -303,9 +332,12 @@ class TestDitheringSanity:
 
 
 def _grid_objective(cov, betas, nodes=1024):
-    """Order-k objective at each row of betas, by plain trapezoid quadrature."""
+    """Order-k objective at each row of betas, by the trapezoid rule on the
+    nodes 2 pi (j + 1/2) / n.  Where sum|beta_m| <= 1, Psi vanishes only where
+    |cos(m*lambda)| = 1 for some m <= k; at a node that needs n to divide
+    m*(2j + 1), which no m < n does for n a power of two."""
     r = np.asarray(cov.values)
-    lam = 2 * math.pi * np.arange(nodes) / nodes
+    lam = 2 * math.pi * (np.arange(nodes) + 0.5) / nodes
     table = np.cos(np.outer(np.arange(1, cov.k + 1), lam))
     out = np.empty(len(betas))
     for start in range(0, len(betas), 1024):
@@ -317,11 +349,10 @@ def _grid_objective(cov, betas, nodes=1024):
 
 
 def _l1_grid(k, points):
-    """The product grid on [-limit, limit]^k, restricted to the l1 region."""
-    limit = 1.0 - L1_SHRINK
-    axis = np.linspace(-limit, limit, points)
+    """The product grid on [-1, 1]^k, restricted to the closed l1 region."""
+    axis = np.linspace(-1.0, 1.0, points)
     grid = np.stack(np.meshgrid(*([axis] * k), indexing="ij"), axis=-1).reshape(-1, k)
-    return grid[np.abs(grid).sum(axis=1) <= limit]
+    return grid[np.abs(grid).sum(axis=1) <= 1.0]
 
 
 class TestOptimizerQuality:
@@ -344,7 +375,6 @@ class TestOptimizerQuality:
             assert res.value <= _grid_objective(cov, grid).min() + 1e-9
 
     def test_order4_below_order1_and_univariate(self, rng):
-        limit = 1.0 - L1_SHRINK
         boundary = 0
         for _ in range(300):
             cov = random_ma_covariance(rng, lags=4)
@@ -354,10 +384,10 @@ class TestOptimizerQuality:
             assert res.value <= univariate_me_bound(r[0]) + 1e-12
             assert -1e-12 <= res.duality_gap <= 1e-9
             l1 = sum(abs(b) for b in res.argmin)
-            assert l1 <= limit + 1e-12
+            assert l1 <= 1.0 + 1e-12
             if res.optimizer_iterations:
                 boundary += 1
-                assert abs(l1 - limit) <= 1e-7
+                assert abs(l1 - 1.0) <= 1e-12
         assert boundary > 0
 
     def test_dual_bound_below_minimum_from_any_point(self, rng):
@@ -365,15 +395,14 @@ class TestOptimizerQuality:
         # the multipliers are read from, not only near the optimum
         from entrobound.bounds import _cosine_table, _dual_bound
 
-        limit = 1.0 - L1_SHRINK
         table = _cosine_table(3, 1024)
         for _ in range(20):
             cov = random_ma_covariance(rng, lags=3)
             value = tdist_bound_k(cov).value
             a = np.asarray(cov.values) + np.eye(4)[0] / 12.0
             for beta in rng.uniform(-1.0, 1.0, size=(10, 3)):
-                beta *= rng.uniform(0.0, limit) / np.abs(beta).sum()
-                assert _dual_bound(a, beta, table, limit) <= value + 1e-12
+                beta *= rng.uniform(0.0, 1.0) / np.abs(beta).sum()
+                assert _dual_bound(a, beta, table) <= value + 1e-12
 
     def test_interior_optimum_is_determinant_ratio(self, rng):
         # Burg's maximum-entropy value: sigma_k^2 = det T_{k+1} / det T_k
@@ -394,12 +423,16 @@ class TestOptimizerQuality:
 
 # covariances on which a naive primal-dual loop failed: an uncondensed Newton
 # matrix that turned singular, separate primal and dual step lengths that
-# cycled, and a 4-cycle of centring weights
+# cycled, and a 4-cycle of centring weights; then two near-unit-root inputs
+# at large R(0), where the dual's Levinson-Durbin subtracts from R(0) + 1/12
+# down to a prediction error many orders smaller
 HARD_BOUNDARY_CASES = [
     (2.6518002229799644, 1.6622134265927049, 0.3396751767810387),
     (7.668127299233782, -5.011096773882918, 1.8799945656577108, -0.6740648579216126),
     (6.327508614012353, 3.9576316879367512, 2.698245162255109, 2.8188232022191095, 1.874873583830155),
     (1.554977971486088, 1.1409297215436254, 0.8910192191689922, 0.32992389429265323, 0.1765149871866966),
+    tuple(1e6 * 0.9999**m * math.cos(2 * m) for m in range(17)),
+    tuple(1e8 * 0.9999**m * math.cos(0.5 * m) for m in range(17)),
 ]
 
 
@@ -409,7 +442,7 @@ class TestPrimalDualSolve:
         res = tdist_bound_k(CovarianceSequence(values))
         assert res.optimizer_iterations > 0
         assert -1e-12 <= res.duality_gap <= 1e-12
-        assert sum(abs(b) for b in res.argmin) == pytest.approx(1.0 - L1_SHRINK, abs=1e-9)
+        assert sum(abs(b) for b in res.argmin) == pytest.approx(1.0, abs=1e-12)
 
     def test_seeded_sweep_k2_to_k16(self):
         rng = np.random.default_rng(20240)
@@ -435,45 +468,49 @@ class TestPrimalDualSolve:
         assert boundary >= 20
 
     def test_overflowing_level_stops_without_warnings(self):
-        # R(m) = 1e6 * 0.9999^m at k = 16: the solve on 512 nodes overflows and
-        # stops at once (later iterates would be NaN), with no RuntimeWarning;
-        # the doubling goes on and certifies the input at a finer level
+        # R(m) = 1e4 * 0.9999^m * cos(2m) at k = 4: the solve on 256 nodes
+        # converges, but on 512 nodes a step overflows (after 81 iterations,
+        # below the iteration cap) and the solve stops at once (later iterates
+        # would be NaN), with no RuntimeWarning; the doubling goes on and
+        # certifies the input at a finer level
         import entrobound.bounds as bounds
 
-        values = tuple(1e6 * 0.9999**m for m in range(17))
-        a = np.asarray(values) + np.eye(17)[0] / 12.0
+        values = tuple(1e4 * 0.9999**m * math.cos(2 * m) for m in range(5))
+        a = np.asarray(values) + np.eye(5)[0] / 12.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            bounds._central_path(a, bounds._cosine_table(4, 256))
             with pytest.raises(ConvergenceError) as stalled:
-                bounds._central_path(a, bounds._cosine_table(16, 512), 1.0 - L1_SHRINK)
+                bounds._central_path(a, bounds._cosine_table(4, 512))
             res = tdist_bound_k(CovarianceSequence(values))
+        steps = int(str(stalled.value).split("after ")[1].split()[0])
+        assert steps < bounds._MAX_ITERATIONS
         assert len(stalled.value.estimates) == 2
         assert np.isfinite(stalled.value.estimates).all()
         assert -1e-12 <= res.duality_gap < 1e-9
 
     def test_near_unit_root_survives_a_stalled_level(self, monkeypatch):
-        # R(m) = 1e4 * 0.9999^m: the solve on the first node table stalls and
-        # the doubling moves on to the next level instead of exiting
+        # R(m) = 1e4 * 0.99^m * cos(2m) at k = 4: the solve on the first node
+        # table runs to the iteration cap, and the doubling moves on to the
+        # next level instead of exiting
         import entrobound.bounds as bounds
 
         stalled = []
         inner = bounds._central_path
 
-        def recording(a, table, limit):
+        def recording(a, table):
             try:
-                return inner(a, table, limit)
-            except ConvergenceError:
-                stalled.append(table.shape[1])
+                return inner(a, table)
+            except ConvergenceError as error:
+                stalled.append((table.shape[1], str(error)))
                 raise
 
         monkeypatch.setattr(bounds, "_central_path", recording)
-        values = tuple(1e4 * 0.9999**m for m in range(9))
+        values = tuple(1e4 * 0.99**m * math.cos(2 * m) for m in range(5))
         res = tdist_bound_k(CovarianceSequence(values))
-        assert stalled == [256]
-        assert -1e-12 <= res.duality_gap <= 1e-9
-        # the order-1 bound on the same shrunken region; tdist_bound_1's
-        # closed form takes beta_1 = -0.999999994, outside that region
-        assert res.value <= tdist_bound_k(CovarianceSequence(values[:2])).value + 1e-12
+        assert stalled == [(256, f"order-k primal-dual solve stalled after {bounds._MAX_ITERATIONS} iterations")]
+        assert -1e-12 <= res.duality_gap <= 1e-12
+        assert res.value <= tdist_bound_1(values[0], values[1]).value
         assert res.value <= univariate_me_bound(values[0])
 
     def test_order4_step_count(self):

@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -91,6 +94,8 @@ class TestFig3:
         (["fig4", "--sigma", "0.004", "--nu", "0"], "H_CE_AR", "H_TH2_k3"),
         # the s-grid stops where the weight underflows, not at the saddle s*
         (["fig3", "--sigma", "1e-7"], "H_CE", "H_TH3"),
+        # sigma^2 underflows to 0.0 as well
+        (["fig3", "--sigma", "1e-170"], "H_CE", "H_TH3"),
     ],
 )
 def test_r0_underflow_gives_the_univariate_bound(tmp_path, args, ce_column, bound_column):
@@ -104,6 +109,16 @@ def test_r0_underflow_gives_the_univariate_bound(tmp_path, args, ce_column, boun
     for row in rows:
         assert float(row[bound_column]) == pytest.approx(0.5 * math.log(2 * math.pi * math.e / 12), abs=1e-8)
         assert float(row[ce_column]) >= 0.0 and not row[ce_column].startswith("-")
+
+
+def test_variance_underflow_prints_nothing_on_stderr(tmp_path):
+    # in a fresh interpreter, with numpy's default warning handling
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    code = "import sys\nfrom entrobound import cli\nsys.exit(cli.main(sys.argv[1:]))"
+    args = ["fig3", "--sigma", "1e-170", "--out", str(tmp_path / "out.csv")]
+    done = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, env=env)
+    assert done.returncode == 0
+    assert done.stderr == ""
 
 
 class TestFig4:

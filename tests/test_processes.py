@@ -314,6 +314,13 @@ class TestQuantizedMaBounds:
         assert qma_th3_bound(m) == univariate_me_bound(0.0)
         assert qma_conditional_entropy(m) == 0.0
 
+    @pytest.mark.parametrize("theta", [0.0, 1.0])
+    def test_conditional_entropy_when_the_variance_underflows(self, theta):
+        # sigma^2 underflows to 0.0, so var = cov = 0 and Y is identically 0;
+        # the marginal route would divide the cell edges by a scale of 0
+        assert qma_conditional_entropy(QuantizedMaModel(1e-170, theta)) == 0.0
+        assert qar_conditional_entropy(QuantizedArModel(1e-170, 0.5 * theta, 0.0)) == 0.0
+
 
 class TestQuantizedMaConditionalEntropy:
     def test_iid_case(self):

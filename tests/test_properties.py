@@ -85,7 +85,8 @@ def test_alternating_sign_flip_leaves_every_bound_unchanged(c):
 @given(coefficients)
 def test_tdist_bound_k_does_not_increase_with_k(c):
     cov = ma_covariance(c)
-    values = [univariate_me_bound(cov.values[0])] + [
+    # the chain starts at order 1's closed form, which order k must not exceed
+    values = [univariate_me_bound(cov.values[0]), tdist_bound_1(cov.values[0], cov.values[1]).value] + [
         tdist_bound_k(CovarianceSequence(cov.values[: j + 1])).value for j in range(1, cov.k + 1)
     ]
     for lower, higher in zip(values[1:], values[:-1]):
