@@ -41,12 +41,14 @@ _EPS = np.finfo(float).eps
 # Primal-dual solve of the boundary case: multipliers start at _MU_START /
 # slack; each step goes _STEP_FRACTION of the way to the nearest bound; after
 # a step that raised slack . multipliers, the centring weight is at least
-# _SIGMA_FLOOR; the solve stops once slack . multipliers <= _PATH_GAP.
+# _SIGMA_FLOOR; the solve stops once slack . multipliers <= _PATH_GAP, and
+# gives up once it exceeds _DIVERGED times its start.
 _MU_START = 1e-2
 _PATH_GAP = 1e-13
 _STEP_FRACTION = 0.99
 _SIGMA_FLOOR = 0.3
 _MAX_ITERATIONS = 100
+_DIVERGED = 1e12
 
 
 @dataclass
@@ -212,7 +214,7 @@ def _central_path(a: np.ndarray, table: np.ndarray):
     carried as an iterate, not recomputed from x, because t_m - p_m cancels to
     0 near the end.  Stops when s.lam is at most _PATH_GAP.  Returns
     (x, iterations); raises ConvergenceError with the last finite (s.lam,
-    residual) after _MAX_ITERATIONS or at the first step that overflows.
+    residual) after _MAX_ITERATIONS, past _DIVERGED, or at a step that overflows.
     """
     k = len(a) - 1
     n = table.shape[1]
@@ -233,7 +235,7 @@ def _central_path(a: np.ndarray, table: np.ndarray):
             estimates = (gap, max(np.abs(r_p).max(), np.abs(r_t).max()))
             if gap <= _PATH_GAP:
                 return np.concatenate((p, t)), steps
-            if steps == _MAX_ITERATIONS:
+            if steps == _MAX_ITERATIONS or gap > _DIVERGED * _MU_START * len(s):
                 break
             # Newton system condensed onto p: with q = lam/s, eliminating t leaves
             # W + diag(0, 4 q1 q2/(q1 + q2)) + rho e e^T, solved by diagonal

@@ -180,14 +180,8 @@ def quantize(s: float) -> int:
 
 
 def _erfc(x: np.ndarray) -> np.ndarray:
-    """Elementwise erfc.  The first call imports scipy.special and rebinds
-    this name to its erfc ufunc, so importing the package, and every command
-    that never evaluates a Gaussian cell, loads no scipy module, and later
-    calls pay nothing for the indirection."""
-    global _erfc
-    from scipy.special import erfc as _erfc
-
-    return _erfc(x)
+    """Elementwise math.erfc: on tables this small, cheaper than numpy calls."""
+    return np.fromiter(map(math.erfc, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 def _cell_probs(z: np.ndarray) -> np.ndarray:
@@ -216,14 +210,14 @@ def _interval_probs(idx: np.ndarray, mu: np.ndarray, sd: float) -> np.ndarray:
     return _cell_probs((edges[None, :] - np.asarray(mu, dtype=float)[:, None]) / sd)
 
 
-def _lattice_rows(idx: np.ndarray, s: np.ndarray, sd: float) -> np.ndarray:
+def _lattice_rows(idx: np.ndarray, s: np.ndarray, sd: float, period: int) -> np.ndarray:
     """:func:`_interval_probs` at nodes s = q + f, q an integer and 0 <= f < 1:
     cell i is cell i - q of N(f, sd^2), so one table with a row per distinct
-    offset f and a column per integer the nodes reach serves every node."""
+    offset f and a column per integer the nodes reach serves every node.  The
+    nodes are h apart, h a power of two, so f repeats every ``period`` nodes."""
     q = np.floor(s).astype(np.intp)
-    offsets, row = np.unique(s - q, return_inverse=True)
-    table = _interval_probs(np.arange(idx[0] - q.max(), idx[-1] - q.min() + 1), offsets, sd)
-    return table[row[:, None], idx - idx[0] + q.max() - q[:, None]]
+    table = _interval_probs(np.arange(idx[0] - q.max(), idx[-1] - q.min() + 1), (s - q)[:period], sd)
+    return table[np.arange(len(s))[:, None] % period, idx - idx[0] + q.max() - q[:, None]]
 
 
 _CHUNK = 8192
@@ -309,7 +303,8 @@ def _pair_conditional_entropy(var: float, cov: float) -> float:
     symmetry (s, i, j) -> (-s, -i, -j) only s >= 0 is summed (s = 0 at half
     weight), and H over rows i >= 0.  On h * Z a chunk of nodes needs one
     erfc table, a row per fractional offset (:func:`_lattice_rows`), and
-    its size is capped.  cov = 0 gives the marginal entropy, and var = 0
+    its size is capped; the offsets repeat with the period 1/h, so no sort
+    finds them.  cov = 0 gives the marginal entropy, and var = 0
     (Y identically 0) gives 0.  A joint table of more than MAX_JOINT_CELLS
     cells raises DomainError before allocating.
     """
@@ -337,9 +332,11 @@ def _pair_conditional_entropy(var: float, cov: float) -> float:
     norm = 1.0 / (weight_sigma * math.sqrt(2.0 * math.pi))
 
     def accumulate(joint: np.ndarray, s: np.ndarray, w: np.ndarray) -> np.ndarray:
-        # add the sum over nodes of w(s) * outer(P(Y_0 = i | s), P(Y_1 = j | s))
+        # add the sum over nodes of w(s) * outer(P(Y_0 = i | s), P(Y_1 = j | s));
+        # offsets repeat every 1/step nodes; capped at a chunk, as 1/step can pass 2**63
+        period = max(1, min(chunk, round(1.0 / step)))
         for start in range(0, len(s), chunk):
-            rows = _lattice_rows(idx, s[start : start + chunk], sd)
+            rows = _lattice_rows(idx, s[start : start + chunk], sd, period)
             joint += rows.T @ (rows * w[start : start + chunk, None])
         return joint
 

@@ -467,31 +467,35 @@ class TestPrimalDualSolve:
                 assert res.value == pytest.approx(trapezoid, abs=1e-12)
         assert boundary >= 20
 
-    def test_overflowing_level_stops_without_warnings(self):
+    def test_overflowing_level_stops_without_warnings(self, monkeypatch):
         # R(m) = 1e4 * 0.9999^m * cos(2m) at k = 4: the solve on 256 nodes
-        # converges, but on 512 nodes a step overflows (after 81 iterations,
-        # below the iteration cap) and the solve stops at once (later iterates
-        # would be NaN), with no RuntimeWarning; the doubling goes on and
-        # certifies the input at a finer level
+        # converges, but on 512 nodes s.lam grows without bound.  The
+        # divergence rule ends it after 70 iterations; without the rule a step
+        # overflows after 81 and the solve stops at once (later iterates
+        # would be NaN).  Either way there is no RuntimeWarning, and the
+        # doubling goes on and certifies the input at a finer level
         import entrobound.bounds as bounds
 
         values = tuple(1e4 * 0.9999**m * math.cos(2 * m) for m in range(5))
         a = np.asarray(values) + np.eye(5)[0] / 12.0
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            bounds._central_path(a, bounds._cosine_table(4, 256))
-            with pytest.raises(ConvergenceError) as stalled:
-                bounds._central_path(a, bounds._cosine_table(4, 512))
-            res = tdist_bound_k(CovarianceSequence(values))
-        steps = int(str(stalled.value).split("after ")[1].split()[0])
-        assert steps < bounds._MAX_ITERATIONS
-        assert len(stalled.value.estimates) == 2
-        assert np.isfinite(stalled.value.estimates).all()
-        assert -1e-12 <= res.duality_gap < 1e-9
+        for diverged, stop in [(bounds._DIVERGED, 70), (math.inf, 81)]:
+            monkeypatch.setattr(bounds, "_DIVERGED", diverged)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                bounds._central_path(a, bounds._cosine_table(4, 256))
+                with pytest.raises(ConvergenceError) as stalled:
+                    bounds._central_path(a, bounds._cosine_table(4, 512))
+                res = tdist_bound_k(CovarianceSequence(values))
+            steps = int(str(stalled.value).split("after ")[1].split()[0])
+            assert steps == stop
+            assert len(stalled.value.estimates) == 2
+            assert np.isfinite(stalled.value.estimates).all()
+            assert -1e-12 <= res.duality_gap < 1e-9
 
     def test_near_unit_root_survives_a_stalled_level(self, monkeypatch):
-        # R(m) = 1e4 * 0.99^m * cos(2m) at k = 4: the solve on the first node
-        # table runs to the iteration cap, and the doubling moves on to the
+        # R(m) = 1e4 * 0.99^m * cos(2m) at k = 4: on the first node table
+        # s.lam grows past 1e12 times its start (it ran all 100 iterations to
+        # 9e30 before the divergence rule), and the doubling moves on to the
         # next level instead of exiting
         import entrobound.bounds as bounds
 
@@ -502,13 +506,18 @@ class TestPrimalDualSolve:
             try:
                 return inner(a, table)
             except ConvergenceError as error:
-                stalled.append((table.shape[1], str(error)))
+                steps = int(str(error).split("after ")[1].split()[0])
+                stalled.append((table.shape[1], steps, error.estimates))
                 raise
 
         monkeypatch.setattr(bounds, "_central_path", recording)
         values = tuple(1e4 * 0.99**m * math.cos(2 * m) for m in range(5))
         res = tdist_bound_k(CovarianceSequence(values))
-        assert stalled == [(256, f"order-k primal-dual solve stalled after {bounds._MAX_ITERATIONS} iterations")]
+        assert [nodes for nodes, _, _ in stalled] == [256]
+        _, steps, estimates = stalled[0]
+        assert steps < bounds._MAX_ITERATIONS
+        assert estimates[0] > bounds._DIVERGED * bounds._MU_START * 9
+        assert res.optimizer_iterations == bounds._MAX_ITERATIONS + 13
         assert -1e-12 <= res.duality_gap <= 1e-12
         assert res.value <= tdist_bound_1(values[0], values[1]).value
         assert res.value <= univariate_me_bound(values[0])

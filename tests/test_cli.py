@@ -96,6 +96,8 @@ class TestFig3:
         (["fig3", "--sigma", "1e-7"], "H_CE", "H_TH3"),
         # sigma^2 underflows to 0.0 as well
         (["fig3", "--sigma", "1e-170"], "H_CE", "H_TH3"),
+        # s-nodes 2^-66 to 2^-68 apart: more offsets per unit than an index holds
+        (["fig3", "--sigma", "1e-20"], "H_CE", "H_TH3"),
     ],
 )
 def test_r0_underflow_gives_the_univariate_bound(tmp_path, args, ce_column, bound_column):

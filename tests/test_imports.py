@@ -32,7 +32,8 @@ def modules_after(code: str, cwd, package: str = "scipy") -> str:
 
 @pytest.mark.parametrize("module", ["entrobound", "entrobound.cli"])
 def test_import_loads_no_scipy_module(module, tmp_path):
-    # scipy.special, scipy.linalg load on first use; signal, optimize, stats never
+    # scipy.linalg loads on first use (toeplitz_gaussian_bound_finite); no other
+    # scipy module ever loads
     assert modules_after(f"import {module}", tmp_path) == ""
 
 
@@ -63,9 +64,48 @@ def test_commands_without_gaussian_cells_load_no_scipy_module(argv, tmp_path):
     assert modules_after(_MAIN.format(argv=argv), tmp_path) == ""
 
 
-def test_gaussian_cell_commands_load_scipy_special_on_first_use(tmp_path):
-    # the check above can see scipy: fig3's conditional entropy evaluates
-    # erfc on Gaussian cells, so scipy.special loads (fig2's moments are
-    # Fourier sums and need none)
-    loaded = modules_after(_MAIN.format(argv=["fig3", "--theta-max", "0.2"]), tmp_path)
-    assert "scipy.special" in loaded.split(",")
+@pytest.mark.parametrize(
+    "argv", [["fig3"], ["fig3", "--sigma", "5"], ["fig4"]], ids=lambda argv: " ".join(argv)
+)
+def test_gaussian_cell_commands_load_no_scipy_module(argv, tmp_path):
+    # the check above can see scipy: fig3 and fig4 evaluate erfc on Gaussian
+    # cells, with the C library's erfc (math.erfc)
+    assert modules_after(_MAIN.format(argv=argv), tmp_path) == ""
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        "eb.qma_conditional_entropy(eb.QuantizedMaModel(1.0, 0.5))",
+        "eb.qar_conditional_entropy(eb.QuantizedArModel(1.0, 0.9, 0.0))",
+    ],
+    ids=["qma", "qar"],
+)
+def test_conditional_entropies_load_no_scipy_module(call, tmp_path):
+    assert modules_after(f"import entrobound as eb\n{call}", tmp_path) == ""
+
+
+def test_only_the_finite_toeplitz_bound_loads_scipy(tmp_path):
+    # every scipy import in the package sits inside toeplitz_gaussian_bound_finite,
+    # and calling it loads scipy.linalg (banded Cholesky)
+    import ast
+    import pathlib
+
+    owners = set()
+    for path in pathlib.Path(entrobound.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "scipy" for name in names):
+                while not isinstance(node, (ast.FunctionDef, ast.Module)):
+                    node = parent[node]
+                owners.add(getattr(node, "name", path.name))
+    assert owners == {"toeplitz_gaussian_bound_finite"}
+    code = "import entrobound as eb\neb.toeplitz_gaussian_bound_finite(eb.CovarianceSequence((1.0, 0.5)), 8)"
+    assert "scipy.linalg" in modules_after(code, tmp_path).split(",")

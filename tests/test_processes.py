@@ -749,6 +749,32 @@ class TestKernelOracles:
         ar = QuantizedArModel(0.6 * scale, 0.0, 0.8 * scale)
         assert qar_r0(ar) == pytest.approx(direct, rel=1e-12, abs=0.0)
 
+    def test_erfc_against_mpmath(self):
+        # the cells' erfc is the C library's: at most 2.3 ulp off a 40-digit
+        # erfc wherever that is a normal double (scipy's erfc reached 506
+        # ulp), and 0 only where the true value is below the smallest
+        # subnormal (from z = 27.23; scipy's from 26.64)
+        import mpmath
+
+        from entrobound.processes import _erfc
+
+        x = np.linspace(0.0, 27.3, 4200)
+        ours = _erfc(x.reshape(4, -1)).ravel()
+        smallest = math.ulp(0.0)
+        zeros = 0
+        with mpmath.workdps(40):
+            for z, value in zip(x, ours):
+                ref = mpmath.erfc(mpmath.mpf(float(z)))
+                err = abs(mpmath.mpf(float(value)) - ref)
+                if ref >= np.finfo(float).tiny:
+                    assert err <= 4 * math.ulp(float(ref)), z
+                else:
+                    assert err <= 2 * smallest, z
+                if value == 0.0:
+                    assert ref < smallest, z
+                    zeros += 1
+        assert 0 < zeros < 20
+
     @pytest.mark.parametrize("sd,mu", [(1.0, 0.0), (0.5, 0.3), (1.7, -2.4)])
     def test_interval_probs_far_tail_relative(self, sd, mu):
         # cells 20-35 sd out on both sides keep full relative accuracy
@@ -792,10 +818,10 @@ class TestKernelOracles:
         levels = []
         inner = processes._lattice_rows
 
-        def recording(idx, s, sd):
+        def recording(idx, s, sd, period):
             if sd == math.sqrt(0.75):
                 levels.append(np.array(s, dtype=float))
-            return inner(idx, s, sd)
+            return inner(idx, s, sd, period)
 
         monkeypatch.setattr(processes, "_lattice_rows", recording)
         processes._pair_conditional_entropy(1.25, 0.5)
@@ -816,10 +842,10 @@ class TestKernelOracles:
         chunks, tables = [], []
         inner_rows, inner_probs = processes._lattice_rows, processes._interval_probs
 
-        def recording_rows(idx, s, sd):
+        def recording_rows(idx, s, sd, period):
             if sd == math.sqrt(0.75):
                 chunks.append(np.array(s, dtype=float))
-            return inner_rows(idx, s, sd)
+            return inner_rows(idx, s, sd, period)
 
         def recording_probs(idx, mu, sd):
             if sd == math.sqrt(0.75):
@@ -837,6 +863,37 @@ class TestKernelOracles:
         assert len(tables) == len(chunks)
         for (level, n), s, rows in zip(sizes, chunks, tables):
             assert rows == len(np.unique(s % 1.0)) == min(2 ** max(level, 1), n)
+
+    @pytest.mark.parametrize("chunk", [3, 5, 6])
+    def test_periodic_offsets_match_sorted_offsets(self, monkeypatch, chunk):
+        # chunks of 3, 5 or 6 nodes against offset periods 2 (spacing 1/2 at
+        # (1.25, 0.5)) and 4 (spacing 1/4 at (0.25, 0.125)): a chunk shorter
+        # than its period (which is then capped at the chunk), and chunks that
+        # are no multiple of it.  Each chunk's rows equal, bit for bit, those
+        # of a table with a row per offset found by sorting
+        from entrobound import processes
+
+        def sorted_rows(idx, s, sd):
+            q = np.floor(s).astype(np.intp)
+            offsets, row = np.unique(s - q, return_inverse=True)
+            table = processes._interval_probs(np.arange(idx[0] - q.max(), idx[-1] - q.min() + 1), offsets, sd)
+            return table[row[:, None], idx - idx[0] + q.max() - q[:, None]]
+
+        checked = []
+        inner = processes._lattice_rows
+
+        def checking(idx, s, sd, period):
+            rows = inner(idx, s, sd, period)
+            assert rows.tobytes() == sorted_rows(idx, s, sd).tobytes()
+            checked.append(period)
+            return rows
+
+        monkeypatch.setattr(processes, "_lattice_rows", checking)
+        monkeypatch.setattr(processes, "_CHUNK", chunk)
+        for var, cov in [(1.25, 0.5), (0.25, 0.125)]:
+            h = processes._pair_conditional_entropy(var, cov)
+            assert h == pytest.approx(rectangle_conditional_entropy(math.sqrt(var), cov / var), abs=1e-9)
+        assert set(checked) == {2, min(4, chunk)}
 
     def test_small_sigma_ma_against_simulation(self):
         # severe-quantization regime: most mass collapses onto few integers
