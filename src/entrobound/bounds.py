@@ -67,8 +67,8 @@ class BoundResult:
 
 def univariate_me_bound(variance: float) -> float:
     """1/2 log(2*pi*e*(variance + 1/12)), the single-sample bound."""
-    if not variance >= 0:
-        raise DomainError(f"variance must be non-negative, got {variance!r}")
+    if not 0 <= variance < math.inf:
+        raise DomainError(f"variance must be finite and non-negative, got {variance!r}")
     return 0.5 * math.log(2.0 * math.pi * math.e * (variance + 1.0 / 12.0))
 
 
@@ -181,16 +181,18 @@ def tdist_bound_1(r0: float, r1: float) -> BoundResult:
     inf over s in (-1, 1) of
     1/2 log(4*pi*e * ((R(0) + 1/12) + s*R(1)) / (1 + sqrt(1 - s^2)))
     equals 1/2 log(2*pi*e * (sigma - R(1)^2 / sigma)) with sigma = R(0) + 1/12,
-    attained at s* = -2*rho / (1 + rho^2), rho = R(1) / sigma.
+    attained at s* = -2*rho / (1 + rho^2), rho = R(1) / sigma.  The argument is
+    ((R(0) - |R(1)|) + 1/12) * (1 + |R(1)| / sigma), which neither cancels nor overflows.
     """
-    if not r0 > 0:
-        raise DomainError(f"R(0) must be positive, got {r0!r}")
-    if abs(r1) > r0 * (1.0 + 1e-12):
+    if not (0 < r0 < math.inf and math.isfinite(r1)):
+        raise DomainError(f"need a finite R(0) > 0 and a finite R(1), got {r0!r}, {r1!r}")
+    gap = (r0 - abs(r1)) + 1.0 / 12.0
+    if abs(r1) > r0 * (1.0 + 1e-12) or not gap > 0:
         raise DomainError(f"|R(1)| = {abs(r1)} exceeds R(0) = {r0}")
     sig = r0 + 1.0 / 12.0
     rho = r1 / sig
     return BoundResult(
-        value=0.5 * (LOG_2PI_E + math.log(sig - r1 * r1 / sig)),
+        value=0.5 * (LOG_2PI_E + math.log(gap * (1.0 + abs(r1) / sig))),
         argmin=[-2.0 * rho / (1.0 + rho * rho)],
     )
 

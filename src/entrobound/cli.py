@@ -181,7 +181,7 @@ def run_bound_cov(cov: spectrum.CovarianceSequence):
 
 
 def run_bound_psd(cov: spectrum.CovarianceSequence):
-    psd = spectrum.psd_from_finite_covariance(cov, complete=False)
+    psd = spectrum.psd_from_finite_covariance(cov)
     rate = gaussian_entropy_rate(psd)
     bound = gaussian_psd_bound(psd)
     note = "covariances beyond the last supplied lag are treated as zero"
@@ -310,10 +310,8 @@ def main(argv=None) -> int:
             columns, rows = run_bound_cov(_read_covariance_file(args.input))
         elif args.command == "bound-psd":
             columns, rows = run_bound_psd(_read_covariance_file(args.input))
-        elif args.command == "simulate":
+        else:  # simulate: the subparsers are required, with fixed choices
             columns, rows = run_simulate(args)
-        else:  # pragma: no cover - argparse enforces the choices
-            raise DomainError(f"unknown command {args.command!r}")
         _write_table(args.out, columns, rows, args.format)
         return 0
     except (DomainError, OSError) as exc:

@@ -21,12 +21,12 @@ from .numerics import DomainError
 from .processes import (
     BinomialEmission,
     DmaModel,
-    PoissonEmission,
     PoissonModel,
     ProcessModel,
     QuantizedArModel,
     QuantizedMaModel,
     TwoStateHmm,
+    _pmf_entropy,
 )
 
 N_BATCHES = 64
@@ -165,10 +165,8 @@ def simulate(model: ProcessModel, n: int, seed: int) -> SamplePath:
             size = int(visits.sum())
             if isinstance(em, BinomialEmission):
                 values[visits] = rng.binomial(em.trials, (em.p1, em.p2)[state], size)
-            elif isinstance(em, PoissonEmission):
+            else:  # TwoStateHmm admits only binomial and Poisson emissions
                 values[visits] = rng.poisson((em.rate1, em.rate2)[state], size)
-            else:
-                raise DomainError(f"unknown emission {em!r}")
     elif isinstance(model, QuantizedMaModel):
         w = rng.normal(0.0, model.sigma, n + 1)
         values = _quantize_array(w[1:] + model.theta * w[:-1])
@@ -208,6 +206,7 @@ def empirical_covariance(path: SamplePath, k: int) -> EstimateWithError:
 
 
 def _plugin_conditional_entropy(a: np.ndarray, b: np.ndarray) -> float:
+    """H(Y_1 | Y_0) of the pair frequencies, by the analytic kernel _pmf_entropy."""
     base = min(int(a.min()), int(b.min()))
     width = max(int(a.max()), int(b.max())) - base + 1
     if width > 4096:
@@ -215,12 +214,8 @@ def _plugin_conditional_entropy(a: np.ndarray, b: np.ndarray) -> float:
             f"alphabet span {width} is too large for the plug-in pair estimator"
         )
     code = (a - base) * width + (b - base)
-    joint = np.bincount(code, minlength=width * width).astype(float)
-    rows = np.bincount(a - base, minlength=width).astype(float)
-    total = float(len(a))
-    joint = joint[joint > 0]
-    rows = rows[rows > 0]
-    return float(((rows * np.log(rows)).sum() - (joint * np.log(joint)).sum()) / total)
+    joint = np.bincount(code, minlength=width * width).reshape(width, width)
+    return _pmf_entropy(joint / len(a))
 
 
 def empirical_conditional_entropy(path: SamplePath) -> EstimateWithError:

@@ -30,10 +30,6 @@ from .numerics import (
 from .spectrum import CovarianceSequence, SpectralDensity
 
 
-class InvariantViolationError(RuntimeError):
-    """A numerically-observed invariant failed outside its verified range."""
-
-
 # ---------------------------------------------------------------------------
 # models
 # ---------------------------------------------------------------------------
@@ -116,6 +112,8 @@ class TwoStateHmm:
         for g in (self.gamma1, self.gamma2):
             if not 0.0 < g < 1.0:
                 raise DomainError(f"transition probability must lie in (0,1): {g!r}")
+        if not isinstance(self.emission, (BinomialEmission, PoissonEmission)):
+            raise DomainError(f"emission must be binomial or Poisson: {self.emission!r}")
 
     @property
     def stationary(self) -> tuple:
@@ -220,9 +218,9 @@ def _lattice_rows(idx: np.ndarray, s: np.ndarray, sd: float, period: int) -> np.
     return table[np.arange(len(s))[:, None] % period, idx - idx[0] + q.max() - q[:, None]]
 
 
-_CHUNK = 8192
-# erfc elements per block.  A chunk of n nodes has < n * (box width + 3) edges:
-# its r offset rows reach <= n/r + 1 more integers, or r = 1 and h < box width
+# erfc elements per block, which sets the chunk length.  A chunk of n nodes has
+# < n * (box width + 3) edges: its r offset rows reach <= n/r + 1 more
+# integers, or r = 1 and h < box width
 _BLOCK_ELEMENTS = 2**21
 
 
@@ -321,7 +319,7 @@ def _pair_conditional_entropy(var: float, cov: float) -> float:
             f"(marginal scale {scale:.6g}), over the limit of {MAX_JOINT_CELLS}"
         )
     idx = np.arange(-box, box + 1)
-    chunk = max(1, min(_CHUNK, _BLOCK_ELEMENTS // (len(idx) + 3)))
+    chunk = max(1, _BLOCK_ELEMENTS // (len(idx) + 3))
     sd = math.sqrt(var - abs(cov))
     weight_sigma = math.sqrt(abs(cov))
     saddle = abs(cov) / (var + abs(cov))
@@ -408,8 +406,6 @@ def poisson_entropy(model: PoissonModel) -> float:
         # for k >= 4*lam the term ratio is below ~1/2, so the tail is < term
         if k >= max(10.0, 4.0 * lam) and term < 0.5e-12:
             return total
-        if k > 10**6:
-            raise ConvergenceError("Poisson entropy series did not converge")
 
 
 def poisson_me_bound(model: PoissonModel) -> float:
@@ -602,19 +598,14 @@ def qma_th1_bound(model: QuantizedMaModel) -> float:
     """PSD-route bound for the quantized MA process, in closed form.
 
     Equals 1/2 log(2*pi*e*(R0 + 1/12)) plus half the closed-form log-cosine
-    integral at K; requires |K| <= 1, which is checked (it is an observed,
-    not proven, property).
+    integral at K, which needs |K| <= 1.  That holds: Y_n = Q(W_n +
+    theta*W_{n-1}) is 1-dependent, so R0 + 2 R1 cos(lambda) is its PSD and is
+    >= 0, hence |K| <= R0 / (R0 + 1/12) < 1.
     """
     from .spectrum import closed_form_log_cos_integral
 
     k_ratio = qma_k_ratio(model)
-    if abs(k_ratio) > 1.0:
-        raise InvariantViolationError(
-            f"K ratio {k_ratio!r} falls outside [-1, 1] at {model!r}"
-        )
-    return univariate_me_bound(qma_r0(model)) + 0.5 * closed_form_log_cos_integral(
-        k_ratio
-    )
+    return univariate_me_bound(qma_r0(model)) + 0.5 * closed_form_log_cos_integral(k_ratio)
 
 
 def qma_th3_bound(model: QuantizedMaModel) -> float:

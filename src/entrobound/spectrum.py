@@ -89,16 +89,13 @@ class SpectralDensity:
     at construction; instances are immutable and shareable across threads.
     """
 
-    def __init__(self, evaluate: Callable, kind: str, truncated: bool = False, grid_values=None):
+    def __init__(self, evaluate: Callable, kind: str, grid_values=None):
         self._evaluate = evaluate
         self.kind = kind
-        self.truncated = truncated
         self._validate(self._evaluate(_GRID) if grid_values is None else grid_values)
 
     @classmethod
-    def cosine_series(
-        cls, coefficients: Sequence[float], truncated: bool = False
-    ) -> "SpectralDensity":
+    def cosine_series(cls, coefficients: Sequence[float]) -> "SpectralDensity":
         """c_0 + 2 * sum_m c_m cos(m*lambda) from coefficients [c_0, ..., c_L]."""
         c = np.asarray(coefficients, dtype=float)
         if c.ndim != 1 or len(c) == 0 or not np.all(np.isfinite(c)):
@@ -113,7 +110,7 @@ class SpectralDensity:
         # of the grid size when the series is longer than the grid
         n = _VALIDATION_GRID * -(-len(c) // _VALIDATION_GRID)
         half = 2.0 * np.fft.rfft(c, n)[:: n // _VALIDATION_GRID].real - c[0]
-        psd = cls(evaluate, kind="cosine_series", truncated=truncated, grid_values=half)
+        psd = cls(evaluate, kind="cosine_series", grid_values=half)
         psd.coefficients = tuple(c)
         return psd
 
@@ -192,17 +189,11 @@ class ToeplitzSpec:
         return m
 
 
-def psd_from_finite_covariance(
-    cov: CovarianceSequence, complete: bool = True
-) -> SpectralDensity:
-    """Cosine-series PSD with c_m = R(m).
-
-    Exact when the underlying covariance really vanishes beyond the stored
-    lags (MA-type processes).  Pass ``complete=False`` when the sequence is
-    a truncation of a longer covariance; the result then carries
-    ``truncated=True`` so downstream users see the caveat.
-    """
-    return SpectralDensity.cosine_series(cov.values, truncated=not complete)
+def psd_from_finite_covariance(cov: CovarianceSequence) -> SpectralDensity:
+    """Cosine-series PSD with c_m = R(m): the PSD of the sequence extended by
+    zeros, exact when the covariance vanishes beyond the stored lags (MA-type
+    processes)."""
+    return SpectralDensity.cosine_series(cov.values)
 
 
 def closed_form_log_cos_integral(s: float) -> float:

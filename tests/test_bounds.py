@@ -41,6 +41,11 @@ class TestUnivariateMeBound:
         with pytest.raises(DomainError):
             univariate_me_bound(-0.1)
 
+    @pytest.mark.parametrize("variance", [math.inf, math.nan])
+    def test_non_finite_rejected(self, variance):
+        with pytest.raises(DomainError):
+            univariate_me_bound(variance)
+
 
 class TestGaussianEntropyRate:
     def test_ma1_rate_is_innovation_entropy(self):
@@ -251,6 +256,47 @@ class TestTdistBound1:
             tdist_bound_1(0.0, 0.0)
         with pytest.raises(DomainError):
             tdist_bound_1(1.0, 1.1)
+
+    @pytest.mark.parametrize(
+        "r0,r1", [(1.0, math.nan), (math.nan, 0.0), (math.inf, 0.0), (math.inf, math.inf), (1.0, -math.inf)]
+    )
+    def test_non_finite_rejected(self, r0, r1):
+        with pytest.raises(DomainError):
+            tdist_bound_1(r0, r1)
+
+    def test_rejects_r1_beyond_r0_inside_the_slack(self):
+        # |R(1)| may exceed R(0) by 1e-12 R(0), which passes 1/12 from R(0) = 8.3e10 on
+        r1 = 1e10 + 0.004
+        assert abs(tdist_bound_1(1e10, r1).value - self._exact(1e10, r1)) <= 1e-15
+        with pytest.raises(DomainError):
+            tdist_bound_1(1e16, 1e16 + 4.0)
+
+    @staticmethod
+    def _exact(r0, r1):
+        # sigma - R(1)^2 / sigma at 400 digits, enough to keep the 1/12 beside
+        # R(0) = 1.7e308 and to absorb the cancellation at |R(1)| = R(0)
+        import mpmath
+
+        with mpmath.workdps(400):
+            sig = mpmath.mpf(r0) + mpmath.mpf(1) / 12
+            argument = sig - mpmath.mpf(r1) ** 2 / sig
+            return float((mpmath.log(2 * mpmath.pi * mpmath.e) + mpmath.log(argument)) / 2)
+
+    @pytest.mark.parametrize(
+        "r0,r1",
+        [(1e8, 1e8), (1e14, 1e14), (1e16, 1e16), (1e16, -1e16), (1e200, 1e200), (1.7e308, -1.7e308), (1e-300, 1e-300)],
+    )
+    def test_unit_root_against_mpmath(self, r0, r1):
+        # the float form sigma - R(1)^2 / sigma was 3.0e-8 low at 1e8, 3.2e-2
+        # low at 1e14, and raised ValueError from 1e16 on
+        assert abs(tdist_bound_1(r0, r1).value - self._exact(r0, r1)) <= 1e-15
+
+    def test_random_inputs_against_mpmath(self, rng):
+        for _ in range(200):
+            r0 = float(10.0 ** rng.uniform(-300.0, 308.0))
+            r1 = float(r0 * rng.choice([rng.uniform(-1.0, 1.0), 1.0 - 10.0 ** rng.uniform(-16.0, -1.0)]))
+            exact = self._exact(r0, r1)
+            assert abs(tdist_bound_1(r0, r1).value - exact) <= 1e-15 * max(1.0, abs(exact))
 
 
 class TestTdistBoundK:

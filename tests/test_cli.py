@@ -187,6 +187,28 @@ class TestBoundCov:
     def test_missing_file(self, tmp_path):
         assert run_cli(["bound-cov", "--input", str(tmp_path / "nope.txt"), "--out", "-"]) == 2
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [("", "no covariance values"), ("# only a comment\n", "no covariance values"), ("1.0,abc\n", "malformed")],
+        ids=["empty", "comment-only", "malformed"],
+    )
+    def test_unreadable_file(self, tmp_path, capsys, text, message):
+        src = tmp_path / "cov.txt"
+        src.write_text(text)
+        assert run_cli(["bound-cov", "--input", str(src), "--out", "-"]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
+    def test_unit_root_at_large_scale_exits_2(self, tmp_path, capsys):
+        # R(0) = R(1) = 1e16: the order-1 row is exact (it raised a bare
+        # ValueError when it formed sigma - R(1)^2 / sigma), and the order-k
+        # row rejects the sequence with DomainError, so no traceback escapes
+        src = tmp_path / "cov.txt"
+        src.write_text("1e16,1e16\n")
+        assert run_cli(["bound-cov", "--input", str(src), "--out", "-"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 @pytest.mark.parametrize("command", ["bound-cov", "bound-psd"])
 def test_not_positive_semidefinite_exit_code(tmp_path, capsys, command):

@@ -261,6 +261,13 @@ class TestEmpiricalCovariance:
         path = SamplePath(PoissonModel(1.0), 0, np.zeros(100, dtype=np.int64))
         with pytest.raises(DomainError):
             empirical_covariance(path, 10)
+        with pytest.raises(DomainError):
+            empirical_covariance(path, -1)
+
+    def test_path_too_short_for_batches(self):
+        path = SamplePath(PoissonModel(1.0), 0, np.arange(63, dtype=np.int64))
+        with pytest.raises(DomainError, match="64-batch"):
+            empirical_covariance(path, 0)
 
 
 class TestEmpiricalConditionalEntropy:
@@ -301,6 +308,35 @@ class TestEmpiricalConditionalEntropy:
         assert abs(est.value - qma_conditional_entropy(m)) <= band
         (row,) = [r for r in load_reference(reference) if r["theta"] == theta]
         assert abs(est.value - row["H_CE"]) <= band
+
+    @pytest.mark.parametrize(
+        "model,seed",
+        [
+            (QuantizedArModel(1.0, 0.9, 4.0), 41),
+            (TwoStateHmm(0.1, 0.3, BinomialEmission(10, 0.2, 0.8)), 42),
+            (PoissonModel(3.0), 43),
+        ],
+        ids=["quantized-ar", "binomial-hmm", "poisson"],
+    )
+    def test_shared_kernel_matches_two_bincount_formula(self, model, seed):
+        # the estimator runs the analytic kernel processes._pmf_entropy on
+        # the pair table; the formula it replaced is the oracle
+        from entrobound.montecarlo import _plugin_conditional_entropy
+
+        def two_bincounts(a, b):
+            base = min(int(a.min()), int(b.min()))
+            width = max(int(a.max()), int(b.max())) - base + 1
+            joint = np.bincount((a - base) * width + (b - base), minlength=width * width).astype(float)
+            rows = np.bincount(a - base, minlength=width).astype(float)
+            joint, rows = joint[joint > 0], rows[rows > 0]
+            return float(((rows * np.log(rows)).sum() - (joint * np.log(joint)).sum()) / len(a))
+
+        values = simulate(model, 10**6, seed).values
+        a, b = values[:-1], values[1:]
+        assert _plugin_conditional_entropy(a, b) == pytest.approx(two_bincounts(a, b), abs=1e-13)
+        assert _plugin_conditional_entropy(a[:15625], b[:15625]) == pytest.approx(
+            two_bincounts(a[:15625], b[:15625]), abs=1e-13
+        )
 
     def test_alphabet_guard(self):
         values = np.zeros(10**5, dtype=np.int64)

@@ -140,6 +140,10 @@ class TestDma:
         with pytest.raises(DomainError):
             DmaModel((0.5, 0.4), 1.0)
 
+    def test_negative_lag(self):
+        with pytest.raises(DomainError):
+            dma_covariance(DmaModel((0.5, 0.5), 1.0), -1)
+
 
 class TestTwoStateHmm:
     def test_state_independent_emissions(self):
@@ -229,6 +233,18 @@ class TestTwoStateHmm:
         with pytest.raises(DomainError):
             TwoStateHmm(0.0, 0.5, BinomialEmission(2, 0.1, 0.9))
 
+    @pytest.mark.parametrize(
+        "emission", ["x", None, (10, 0.2, 0.8), PoissonModel(1.0)], ids=["str", "none", "tuple", "poisson-model"]
+    )
+    def test_emission_must_be_binomial_or_poisson(self, emission):
+        # an unknown emission used to pass and fail later in hmm_covariance
+        with pytest.raises(DomainError, match="emission"):
+            TwoStateHmm(0.1, 0.3, emission)
+
+    def test_negative_lag(self):
+        with pytest.raises(DomainError):
+            hmm_covariance(TwoStateHmm(0.1, 0.3, BinomialEmission(10, 0.2, 0.8)), -1)
+
 
 class TestQuantizedMaStatistics:
     def test_variance_collapses_at_small_scale(self):
@@ -257,6 +273,14 @@ class TestQuantizedMaStatistics:
 
     def test_k_ratio_zero(self):
         assert qma_k_ratio(QuantizedMaModel(2.0, 0.0)) == 0.0
+
+    def test_k_ratio_bounded_by_the_dither(self, rng):
+        # Y is 1-dependent, so R0 + 2 R1 cos(lambda) is its PSD and >= 0:
+        # |K| <= R0 / (R0 + 1/12) < 1, as the closed form of qma_th1_bound needs
+        for _ in range(400):
+            m = QuantizedMaModel(float(10.0 ** rng.uniform(-3.0, 6.0)), float(rng.uniform(0.0, 10.0)))
+            r0 = qma_r0(m)
+            assert abs(qma_k_ratio(m)) <= r0 / (r0 + 1.0 / 12.0)
 
     def test_k_ratio_within_unit_interval_on_grid(self):
         for sigma in (0.5, 1.0, 2.0, 5.0):
@@ -448,7 +472,7 @@ class TestConditionalEntropyMemory:
 
     def test_erfc_blocks_capped(self, monkeypatch):
         # nu = 0 at sigma0 = 45.9: the trapezoid runs to thousands of nodes a
-        # level and the index box has 923 columns, so chunks shrink below _CHUNK
+        # level and the index box has 923 columns, so the chunks are short
         from entrobound import processes
 
         blocks = []
@@ -460,7 +484,7 @@ class TestConditionalEntropyMemory:
 
         monkeypatch.setattr(processes, "_interval_probs", recording)
         h = processes.qar_conditional_entropy.__wrapped__(QuantizedArModel(20.0, 0.9, 0.0))
-        assert max(blocks) <= processes._BLOCK_ELEMENTS < processes._CHUNK * 924
+        assert max(blocks) <= processes._BLOCK_ELEMENTS
         assert h == pytest.approx(qar_rectangle_conditional_entropy(20.0, 0.9, 0.0), abs=1e-9)
 
     # rows whose spacing h is far below one cell (2^-15 at (1 + 1e-18, 1e-9)),
@@ -854,7 +878,9 @@ class TestKernelOracles:
 
         monkeypatch.setattr(processes, "_lattice_rows", recording_rows)
         monkeypatch.setattr(processes, "_interval_probs", recording_probs)
-        monkeypatch.setattr(processes, "_CHUNK", 5)
+        # the block cap sets the chunk: box width + 3 = 32 elements a node at var 1.25
+        cap = 5 * (2 * processes._box_halfwidth(math.sqrt(1.25)) + 4)
+        monkeypatch.setattr(processes, "_BLOCK_ELEMENTS", cap)
         processes._pair_conditional_entropy(1.25, cov)
         # levels add 13, 12, 24, 48, ... nodes
         levels = [self.HALF_PANELS + 1] + [self.HALF_PANELS * 2**k for k in range(len(chunks))]
@@ -889,8 +915,10 @@ class TestKernelOracles:
             return rows
 
         monkeypatch.setattr(processes, "_lattice_rows", checking)
-        monkeypatch.setattr(processes, "_CHUNK", chunk)
         for var, cov in [(1.25, 0.5), (0.25, 0.125)]:
+            # the block cap sets the chunk: box width + 3 elements a node
+            cap = chunk * (2 * processes._box_halfwidth(math.sqrt(var)) + 4)
+            monkeypatch.setattr(processes, "_BLOCK_ELEMENTS", cap)
             h = processes._pair_conditional_entropy(var, cov)
             assert h == pytest.approx(rectangle_conditional_entropy(math.sqrt(var), cov / var), abs=1e-9)
         assert set(checked) == {2, min(4, chunk)}

@@ -29,6 +29,11 @@ class TestCovarianceSequence:
         with pytest.raises(DomainError):
             CovarianceSequence((0.0, 0.0))
 
+    @pytest.mark.parametrize("values", [(), (1.0, math.nan), (math.inf,), (1.0, 0.5, -math.inf)])
+    def test_empty_or_non_finite(self, values):
+        with pytest.raises(DomainError):
+            CovarianceSequence(values)
+
     def test_cauchy_schwarz(self):
         with pytest.raises(DomainError):
             CovarianceSequence((1.0, 1.5))
@@ -49,7 +54,6 @@ class TestPsdFromFiniteCovariance:
         psd = psd_from_finite_covariance(CovarianceSequence((1.0,)))
         lam = np.linspace(0, 2 * math.pi, 17)
         assert np.allclose(psd(lam), 1.0)
-        assert not psd.truncated
 
     def test_ma1(self):
         # R = [2, 1] is the MA(1) with theta = 1, sigma = 1: Phi = 2 + 2 cos
@@ -72,10 +76,6 @@ class TestPsdFromFiniteCovariance:
         c[4500] = 0.6
         with pytest.raises(PsdValidationError):
             SpectralDensity.cosine_series(c)
-
-    def test_truncation_flag(self):
-        psd = psd_from_finite_covariance(CovarianceSequence((1.0, 0.2)), complete=False)
-        assert psd.truncated
 
 
 class TestClosedFormLogCosIntegral:
@@ -132,6 +132,10 @@ class TestToeplitzGaussianBoundFinite:
         with pytest.raises(DomainError):
             toeplitz_gaussian_bound_finite(CovarianceSequence((1.0, -1.0)), 8)
 
+    def test_empty_matrix(self):
+        with pytest.raises(DomainError):
+            toeplitz_gaussian_bound_finite(CovarianceSequence((1.0,)), 0)
+
 
 class TestFiedlerCheck:
     def test_scalar(self):
@@ -156,6 +160,15 @@ class TestFiedlerCheck:
     def test_length_mismatch(self):
         with pytest.raises(DomainError):
             fiedler_determinant_check([1.0, 2.0], [1.0], 3.0)
+
+    def test_length_limit(self):
+        with pytest.raises(DomainError, match="n <= 16"):
+            fiedler_determinant_check([1.0] * 17, [1.0] * 17, 2.0**17)
+
+    @pytest.mark.parametrize("eigs_a,eigs_b", [([1.0, 0.0], [1.0, 1.0]), ([1.0, 2.0], [-1.0, 1.0])])
+    def test_non_positive_eigenvalue(self, eigs_a, eigs_b):
+        with pytest.raises(DomainError, match="positive"):
+            fiedler_determinant_check(eigs_a, eigs_b, 1.0)
 
     def test_detects_violation(self):
         assert not fiedler_determinant_check([1.0], [1.0], 5.0)
@@ -194,6 +207,8 @@ class TestTridiagonalDeterminant:
             tridiagonal_determinant(2.0, 1.0, 3)
         with pytest.raises(DomainError):
             tridiagonal_determinant(-1.0, 0.0, 3)
+        with pytest.raises(DomainError):
+            tridiagonal_determinant(2.0, 0.5, 0)
 
 
 class TestToeplitzSpec:
@@ -204,6 +219,10 @@ class TestToeplitzSpec:
     def test_matrix_layout(self):
         m = ToeplitzSpec(2.0, (0.5,), 3).matrix()
         assert np.allclose(m, [[2.0, 0.5, 0.0], [0.5, 2.0, 0.5], [0.0, 0.5, 2.0]])
+
+    def test_empty_matrix(self):
+        with pytest.raises(DomainError):
+            ToeplitzSpec(2.0, (0.5,), 0)
 
 
 class TestSpectralDensityValidation:
@@ -218,3 +237,12 @@ class TestSpectralDensityValidation:
     def test_scalar_only_callable(self):
         psd = SpectralDensity.from_callable(lambda lam: 2.0 + math.cos(lam))
         assert psd(math.pi) == pytest.approx(1.0)
+
+    def test_callable_returning_nan(self):
+        with pytest.raises(PsdValidationError, match="non-finite"):
+            SpectralDensity.from_callable(lambda lam: np.where(lam > 3.0, np.nan, 1.0))
+
+    @pytest.mark.parametrize("coefficients", [[[1.0, 0.1], [0.2, 0.3]], [1.0, math.nan], [math.inf], []])
+    def test_cosine_series_needs_finite_1d_coefficients(self, coefficients):
+        with pytest.raises(DomainError, match="finite 1-D"):
+            SpectralDensity.cosine_series(coefficients)
