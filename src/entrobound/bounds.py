@@ -161,6 +161,9 @@ def gaussian_entropy_rate(psd: SpectralDensity) -> float:
     1/2 log(2*pi*e) + (1/4pi) Int_0^{2pi} log Phi(lambda) d lambda (Kolmogorov-
     Szego).  A zero of Phi is an integrable log singularity: the rate of a
     cosine series or Markov mixture is finite unless Phi vanishes identically.
+    A callable PSD (:meth:`SpectralDensity.from_callable`) is integrated by
+    quadrature and gives -inf once a node meets Phi = 0, as 2 + 2 cos does at
+    pi; give such a PSD as :meth:`SpectralDensity.cosine_series` instead.
     """
     return 0.5 * (LOG_2PI_E + _log_integral(psd, 0.0)[0])
 

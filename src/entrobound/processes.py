@@ -21,12 +21,7 @@ from .bounds import (
     tdist_bound_k,
     univariate_me_bound,
 )
-from .numerics import (
-    MAX_POINTS,
-    SQRT2,
-    ConvergenceError,
-    DomainError,
-)
+from .numerics import MAX_POINTS, SQRT2, DomainError
 from .spectrum import CovarianceSequence, SpectralDensity
 
 
@@ -266,18 +261,15 @@ def _pmf_entropy(p: np.ndarray) -> float:
 
 
 # Largest joint table _pair_conditional_entropy builds: 2**22 cells (32 MiB).
-# A level holds at most three tables of this size at once.  The limit is
-# reached near a marginal scale of 102 (sigma ~ 45 for the MA at theta = 2).
+# A call holds at most two tables of this size at once: the half-grid sum
+# beside a chunk's product, or beside the folded rows i >= 0 and their
+# entropy scratch (half a table each).  The limit is reached near a marginal
+# scale of 102 (sigma ~ 45 for the MA at theta = 2).
 MAX_JOINT_CELLS = 2**22
 
-# The conditional-entropy doubling stops once two levels differ by less than
-# this and the captured joint mass is within 1e-10 of one.
-ENTROPY_TOL = 1e-7
-
-# Bound on the first s-grid spacing, in units of tau (see below).  Measured on
-# a 3,030-row sweep: 1.5 takes 3 % more s-nodes than 2, 1.75 as many, and from
-# 2.5 on some rows stop early, up to 1.8e-8 relative off the converged value.
-SPACING = 2.0
+# Bound on the conditional-entropy trapezoid's error summed over the joint's
+# cells: the joint's rounding level.  It sets the s-grid spacing (see below).
+ALIASING_TOL = 1e-15
 
 
 def _pair_conditional_entropy(var: float, cov: float) -> float:
@@ -290,21 +282,38 @@ def _pair_conditional_entropy(var: float, cov: float) -> float:
     it is, so the kernel runs at |cov|: given s both are the same smoothed
     staircase of s, and one table P(Q(s + A) = i | s) serves rows and
     columns.  The joint pmf is accumulated on the box |i| <= 10*sqrt(var) + 2
-    over a trapezoid s-grid.  Its narrowest scale is tau,
-    1/tau^2 = 1/|cov| + 2/sd^2 with sd^2 = var - |cov|: the weight times two
-    cell edges, and the spread of s where the first off-diagonal cells get
-    their mass, near s* = |cov| / (var + |cov|) <= 1/2.  The nodes lie on
-    h * Z, h the largest power of two <= SPACING * tau, out to 8 weight sds,
-    or s* + 8 tau where that is wider but the weight has not underflowed
-    (exp(-745) = 0).  h halves until ENTROPY_TOL is met; each level adds
-    only its new midpoints, so every s-node is evaluated once.  By the
-    symmetry (s, i, j) -> (-s, -i, -j) only s >= 0 is summed (s = 0 at half
+    by one trapezoid level in s.
+
+    Spacing.  Cell (i, j) integrates f(s) = w(s) P(i | s) P(j | s), w the
+    N(0, |cov|) weight.  Per (u_0, u_1) in the cell the three factors are
+    Gaussian in s, and their product is a Gaussian of variance tau^2,
+    1/tau^2 = 1/|cov| + 2/sd^2 with sd^2 = var - |cov|, times the pair's
+    density.  So on the strip |Im s| < a the integral of |f| along a line is
+    at most p_ij exp(a^2 / 2 tau^2), p_ij the exact cell, and the trapezoid
+    on h * Z is off by at most 2 p_ij exp(a^2 / 2 tau^2) / (e^(2 pi a / h) - 1)
+    (Trefethen & Weideman, SIAM Rev. 56, 2014, Thm 5.1).  At a = 2 pi tau^2 / h
+    that is about 2 p_ij exp(-2 pi^2 tau^2 / h^2); summed over the cells it
+    is below ALIASING_TOL once h <= pi tau sqrt(2 / log(2 / ALIASING_TOL)),
+    0.749 tau.  h is the largest power of two below that, and one level is
+    evaluated.  tau is also the spread of s where the first off-diagonal
+    cells get their mass, near s* = |cov| / (var + |cov|) <= 1/2.
+
+    Span.  The nodes run out to b = 8 weight sds, or s* + 8 tau where that
+    is wider but the weight has not underflowed (exp(-745) = 0).  Besides
+    the trapezoid's error they leave out less than 1e-14 of the joint:
+    erfc(8 / sqrt2) = 1.2e-15 of the weight beyond b, at most h w(b) / 2 <
+    2e-15 at each end node's half weight (h < weight sd), and outside the
+    box less than erfc(10 / sqrt2) = 1.5e-23 of each of Y_0 and Y_1.  So the
+    total the joint is normalized by is within 1e-14 of one, and no mass
+    goes missing that a check would have to catch.  By the symmetry
+    (s, i, j) -> (-s, -i, -j) only s >= 0 is summed (s = 0 at half
     weight), and H over rows i >= 0.  On h * Z a chunk of nodes needs one
     erfc table, a row per fractional offset (:func:`_lattice_rows`), and
     its size is capped; the offsets repeat with the period 1/h, so no sort
     finds them.  cov = 0 gives the marginal entropy, and var = 0
     (Y identically 0) gives 0.  A joint table of more than MAX_JOINT_CELLS
-    cells raises DomainError before allocating.
+    cells, or a level of more than MAX_POINTS nodes (var - |cov| below about
+    1e-10 var), raises DomainError before allocating.
     """
     if var == 0.0:
         return 0.0
@@ -325,47 +334,27 @@ def _pair_conditional_entropy(var: float, cov: float) -> float:
     saddle = abs(cov) / (var + abs(cov))
     tau = sd * math.sqrt(saddle)
     b = max(8.0 * weight_sigma, min(saddle + 8.0 * tau, math.sqrt(2.0 * 745.0) * weight_sigma))
-    step = 2.0 ** math.floor(math.log2(SPACING * tau))
+    step = 2.0 ** math.floor(math.log2(math.pi * tau * math.sqrt(2.0 / math.log(2.0 / ALIASING_TOL))))
     panels = math.ceil(b / step)
-    norm = 1.0 / (weight_sigma * math.sqrt(2.0 * math.pi))
-
-    def accumulate(joint: np.ndarray, s: np.ndarray, w: np.ndarray) -> np.ndarray:
-        # add the sum over nodes of w(s) * outer(P(Y_0 = i | s), P(Y_1 = j | s));
-        # offsets repeat every 1/step nodes; capped at a chunk, as 1/step can pass 2**63
-        period = max(1, min(chunk, round(1.0 / step)))
-        for start in range(0, len(s), chunk):
-            rows = _lattice_rows(idx, s[start : start + chunk], sd, period)
-            joint += rows.T @ (rows * w[start : start + chunk, None])
-        return joint
-
-    def density(s: np.ndarray) -> np.ndarray:
-        return norm * np.exp(-0.5 * (s / weight_sigma) ** 2)
-
+    if panels > MAX_POINTS:
+        raise DomainError(
+            f"the conditional-entropy trapezoid would need {panels} nodes (cell sd "
+            f"{sd:.3g} against weight sd {weight_sigma:.3g}), over the limit of {MAX_POINTS}"
+        )
     s = step * np.arange(panels + 1)
-    w = density(s)
+    w = np.exp(-0.5 * (s / weight_sigma) ** 2)  # the weight, up to its constant
     w[0] *= 0.5  # s = 0 is shared with the s <= 0 half
     w[-1] *= 0.5
-    unscaled = accumulate(np.zeros((len(idx), len(idx))), s, w)  # without the spacing
-    h_prev = math.nan
-    while True:
-        total = 2.0 * step * float(unscaled.sum())
-        p = unscaled[box:] + unscaled[box::-1, ::-1]  # rows i >= 0 of the joint
-        p *= step / total
-        p[1:] *= 2.0  # rows i < 0 mirror rows i > 0
-        h = _pmf_entropy(p)
-        if abs(h - h_prev) < ENTROPY_TOL and abs(total - 1.0) < 1e-10:
-            return h
-        if 2 * panels >= MAX_POINTS:
-            raise ConvergenceError(
-                "joint mass deficit persists; the truncated index box is likely "
-                "too small - enlarge the box or the node budget",
-                estimates=(h_prev, h),
-            )
-        h_prev = h
-        s = step * (np.arange(panels) + 0.5)
-        accumulate(unscaled, s, density(s))
-        step *= 0.5
-        panels *= 2
+    # offsets repeat every 1/step nodes; capped at a chunk, as 1/step can pass 2**63
+    period = max(1, min(chunk, round(1.0 / step)))
+    half = np.zeros((len(idx), len(idx)))  # sum over s >= 0 of w(s) outer(P(i | s), P(j | s))
+    for start in range(0, len(s), chunk):
+        rows = _lattice_rows(idx, s[start : start + chunk], sd, period)
+        half += rows.T @ (rows * w[start : start + chunk, None])
+    p = half[box:] + half[box::-1, ::-1]  # rows i >= 0 of the joint
+    p *= 0.5 / float(half.sum())  # each half holds half the joint's mass
+    p[1:] *= 2.0  # rows i < 0 mirror rows i > 0
+    return _pmf_entropy(p)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .numerics import TWO_PI, DomainError, _eval_vectorized
+from .numerics import MAX_POINTS, TWO_PI, DomainError, _eval_vectorized
 
 _VALIDATION_GRID = 4096
 _GRID = TWO_PI * np.arange(_VALIDATION_GRID) / _VALIDATION_GRID
@@ -131,7 +131,13 @@ class SpectralDensity:
 
     @classmethod
     def from_callable(cls, fn: Callable[[np.ndarray], np.ndarray]) -> "SpectralDensity":
-        """A PSD from a vectorized or scalar-only callable of lambda."""
+        """A PSD from a vectorized or scalar-only callable of lambda.
+
+        Its entropy rate is integrated by quadrature, which gives -inf where
+        a node meets Phi = 0 (2 + 2 cos at lambda = pi, say), though log Phi
+        may be integrable there.  A PSD that is a cosine series belongs in
+        :meth:`cosine_series`, whose rate is exact through such zeros.
+        """
         return cls(lambda lam: _eval_vectorized(fn, lam), kind="callable")
 
     def _validate(self, vals):
@@ -212,12 +218,13 @@ def toeplitz_gaussian_bound_finite(cov: CovarianceSequence, n: int) -> float:
 
     K is the n x n Toeplitz matrix with entries R(|i-j|) (zero beyond the
     stored lags).  The log-determinant is computed through a banded
-    Cholesky factorization, O(n * k^2) for bandwidth k.
+    Cholesky factorization, O(n * k^2) for bandwidth k.  n is at most
+    MAX_POINTS, checked before anything is allocated.
     """
+    if not 1 <= n <= MAX_POINTS:
+        raise DomainError(f"n must lie in [1, {MAX_POINTS}], got {n!r}")
     from scipy import linalg
 
-    if n < 1:
-        raise DomainError("n must be >= 1")
     k = min(cov.k, n - 1)
     ab = np.zeros((k + 1, n))
     ab[0, :] = cov.values[0] + 1.0 / 12.0

@@ -41,26 +41,39 @@ def _rectangle_cells(sd: float, rho: float):
         Phi2(h, k; rho) = Phi(h)/2 + Phi(k)/2 - T(h, a_h) - T(k, a_k) - beta,
         a_h = (k - rho h) / (h sqrt(1 - rho^2)), beta = 1/2 if h k < 0 else 0.
 
-    Cell edges are half-integers, so h and k are never 0.  The index box
-    |i| <= 14 sd + 2 leaves out less than 1e-12 of the mass.  Returns the
-    indices i, the joint table P(Y_0 = i, Y_1 = j) and the marginal cells.
+    Cell edges are half-integers, so h and k are never 0.  Every cell is
+    taken from the quadrant i, j <= 0: U_0 -> -U_0 maps cell i to cell -i
+    and rho to -rho, so P(i, j; rho) = P(-|i|, -|j|; rho sign(i j)).  In
+    that quadrant no corner lies above 1/2, so a tail cell is a difference
+    of values no larger than its tail and keeps its digits; corners near 1
+    would leave round-off of 1e-16 in every tail cell, about 2e-11 in H at
+    scale 10.
+    The index box |i| <= 14 sd + 2 leaves out less than 1e-12 of the mass.
+    Returns the indices i, the joint table P(Y_0 = i, Y_1 = j) and the
+    marginal cells.
     """
     from scipy.special import ndtr, owens_t
 
     bound = math.ceil(14.0 * sd) + 2
-    h = (np.arange(-bound, bound + 2) - 0.5) / sd
+    h = (np.arange(-bound, 2) - 0.5) / sd  # the corners of cells -bound..0
     x, y = np.meshgrid(h, h, indexing="ij")
-    r = math.sqrt(1.0 - rho * rho)
-    beta = np.where(x * y < 0.0, 0.5, 0.0)
-    cdf = (
-        0.5 * ndtr(x)
-        + 0.5 * ndtr(y)
-        - owens_t(x, (y - rho * x) / (x * r))
-        - owens_t(y, (x - rho * y) / (y * r))
-        - beta
-    )
-    joint = cdf[1:, 1:] - cdf[:-1, 1:] - cdf[1:, :-1] + cdf[:-1, :-1]
-    return np.arange(-bound, bound + 1), joint, np.diff(ndtr(h))
+
+    def quadrant(r):
+        s = math.sqrt(1.0 - r * r)
+        cdf = (
+            0.5 * ndtr(x)
+            + 0.5 * ndtr(y)
+            - owens_t(x, (y - r * x) / (x * s))
+            - owens_t(y, (x - r * y) / (y * s))
+            - np.where(x * y < 0.0, 0.5, 0.0)
+        )
+        return cdf[1:, 1:] - cdf[:-1, 1:] - cdf[1:, :-1] + cdf[:-1, :-1]
+
+    i = np.arange(-bound, bound + 1)
+    folded = np.ix_(bound - np.abs(i), bound - np.abs(i))
+    joint = np.where(np.multiply.outer(i, i) < 0, quadrant(-rho)[folded], quadrant(rho)[folded])
+    marginal = np.diff(ndtr(h))
+    return i, joint, np.concatenate([marginal, marginal[-2::-1]])
 
 
 def rectangle_conditional_entropy(sd: float, rho: float) -> float:
@@ -125,9 +138,10 @@ def cell_conditional_entropy(var: float, cov: float, dps: int = 15):
     Row i enters as sum_j p_ij log(row / p_ij) over its other cells plus
     -p_max log1p(-rest / row) for its largest one: no difference of
     near-equal numbers, so tiny H keep their digits (matches dps = 30 to
-    1e-12 relative on the fig3 sigma = 0.05 grid).  Rows |i| <= 8 sd + 1
-    and columns within 8 conditional sds + 1 of the row; meant for small
-    scales (sd below about 0.3), where that is a handful of cells.
+    1e-12 relative on the fig3 sigma = 0.05 grid).  Rows |i| <= 8 sd + 1,
+    and in row i the columns within 8 conditional sds + 1 of rho i, the
+    conditional mean of U_1 at the row's centre; meant for small scales (sd
+    below about 0.3), where that is a handful of cells.
     """
     import mpmath
 
@@ -154,14 +168,16 @@ def cell_conditional_entropy(var: float, cov: float, dps: int = 15):
             top = max(f(u) for u in ends)
             return top * mpmath.quad(lambda u: f(u) / top, ends) / (sd * mpmath.sqrt(2 * mpmath.pi))
 
-        reach = int(8 * float(sc)) + 1
+        # rho u spans rho/2 across a cell
+        reach = int(8 * float(sc) + abs(float(rho)) / 2) + 1
         h = mpmath.mpf(0)
         for i in range(int(8 * float(sd)) + 2):
             if i == 0:  # row 0 is symmetric: P(0, -j) = P(0, j)
                 half = [joint(0, j) for j in range(1, reach + 1)]
                 cells = sorted([joint(0, 0)] + half + half)
             else:  # rows i and -i are mirror images
-                cells = sorted(joint(i, j) for j in range(i - reach, i + reach + 1))
+                mid = round(float(rho) * i)
+                cells = sorted(joint(i, j) for j in range(mid - reach, mid + reach + 1))
             rest = mpmath.fsum(cells[:-1])
             row = cells[-1] + rest
             row_h = mpmath.fsum(p * mpmath.log(row / p) for p in cells[:-1] if p > 0)

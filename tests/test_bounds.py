@@ -69,6 +69,15 @@ class TestGaussianEntropyRate:
             psd = SpectralDensity.cosine_series([2.0, c1])
             assert gaussian_entropy_rate(psd) == pytest.approx(0.5 * LOG_2PI_E, abs=1e-12)
 
+    def test_callable_psd_touching_zero_gives_minus_infinity(self):
+        # the documented limit of the callable kind: its quadrature meets
+        # Phi = 0 at lambda = pi and returns -inf; the same PSD as a cosine
+        # series gives the true rate
+        callable_psd = SpectralDensity.from_callable(lambda lam: 2.0 + 2.0 * np.cos(lam))
+        assert gaussian_entropy_rate(callable_psd) == -math.inf
+        series = SpectralDensity.cosine_series([2.0, 1.0])
+        assert gaussian_entropy_rate(series) == pytest.approx(0.5 * LOG_2PI_E, abs=1e-12)
+
     @pytest.mark.parametrize("c", [[3.0, 2.0, 1.0], [6.0, 4.0, 1.0], [6.0, -4.0, 1.0]])
     def test_multiple_zeros_on_the_circle(self, c):
         # |1 + z + z^2|^2 (two double zeros) and |1 +- z|^4 (a fourfold zero)

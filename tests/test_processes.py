@@ -428,6 +428,20 @@ class TestConditionalEntropyMemory:
             tracemalloc.stop()
         assert peak < 2**20
 
+    def test_node_limit_raises_before_allocating(self):
+        import tracemalloc
+
+        # phi = 1 - 1e-11 without noise: the cell sd is 3.2e-6 of the weight
+        # sd, and the half grid would need 7.5 million nodes
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="7502999 nodes"):
+                qar_conditional_entropy(QuantizedArModel(1e-6, 1.0 - 1e-11, 0.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_scale_limit_boundary(self):
         from entrobound import processes
 
@@ -487,16 +501,16 @@ class TestConditionalEntropyMemory:
         assert max(blocks) <= processes._BLOCK_ELEMENTS
         assert h == pytest.approx(qar_rectangle_conditional_entropy(20.0, 0.9, 0.0), abs=1e-9)
 
-    # rows whose spacing h is far below one cell (2^-15 at (1 + 1e-18, 1e-9)),
+    # rows whose spacing h is far below one cell (2^-16 at (1 + 1e-18, 1e-9)),
     # so that one lattice vector of step h across the index box would be
     # long; the chunk tables stay small.  erfc elements: the per-node tables
     # of the uniform s-grid took 858, 2,056, 520 and 4,104
     @pytest.mark.parametrize(
         "var,cov,elements,oracle",
         [
-            (1.0 + 1e-18, 1e-9, 546, lambda: rectangle_conditional_entropy(1.0, 1e-9)),
+            (1.0 + 1e-18, 1e-9, 468, lambda: rectangle_conditional_entropy(1.0, 1e-9)),
             (2e-14, 1e-14, 1048, lambda: cell_conditional_entropy(2e-14, 1e-14)),
-            (0.005, 0.0025, 312, lambda: cell_conditional_entropy(0.005, 0.0025)),
+            (0.005, 0.0025, 304, lambda: cell_conditional_entropy(0.005, 0.0025)),
             (1e-8, 9e-9, 1928, lambda: cell_conditional_entropy(1e-8, 9e-9)),
         ],
         ids=["scale-1", "scale-1.4e-7", "fig3-sigma-0.05", "scale-1e-4"],
@@ -523,7 +537,7 @@ class TestConditionalEntropyMemory:
 
     def test_erfc_elements_per_row(self, monkeypatch):
         # fig3 sigma = 5, theta = 1: 9,620 erfc elements with a table per
-        # s-node on the uniform grid, 372 with a table per offset on h * Z
+        # s-node on the uniform grid, 188 with a table per offset on h * Z
         from entrobound import processes
 
         elements = [0]
@@ -538,8 +552,70 @@ class TestConditionalEntropyMemory:
         assert elements[0] <= 9620 // 10
 
 
+def winter_bound(t: float, outcomes: int) -> float:
+    """Largest change of H(Y_1 | Y_0) between two joints t apart in total
+    variation, Y on ``outcomes`` values: 2 t log|Y| + (1 + t) h2(t / (1 + t))
+    (Alicki & Fannes 2004; Winter, Commun. Math. Phys. 347, 2016, Lemma 2)."""
+    x = t / (1.0 + t)
+    return 2.0 * t * math.log(outcomes) + (1.0 + t) * (-x * math.log(x) - (1.0 - x) * math.log1p(-x))
+
+
 class TestConditionalEntropyAccuracy:
-    """The trapezoid's coarse start against oracles that share none of it."""
+    """The single trapezoid level against oracles that share none of it."""
+
+    @pytest.fixture(scope="class")
+    def sweep_sample(self):
+        # a seeded sample of the sweep shape (AR at phi 0.95-0.9995, sigma
+        # 0.05-2, nu 0, 0.1 or 0.5; MA at sigma 0.03-0.3, theta 0-2) and the
+        # two rows the former halving loop found hardest, each with its
+        # rectangle oracle and, below scale 0.25, its cell oracle.  Marginal
+        # scales stop at 3: the rectangle cells carry round-off of about 1e-16
+        # each, which moves its H by up to 1.6e-13 there and more beyond
+        rng = np.random.default_rng(3030)
+        pairs = []
+        for sigma, phi, nu in [(0.075, 0.9995, 0.0), (0.17, 0.9898, 0.5)]:
+            var0 = sigma * sigma / (1.0 - phi * phi)
+            pairs.append((var0 + nu * nu, var0 * phi))
+        while len(pairs) < 24:
+            if rng.uniform() < 0.7:
+                sigma = float(np.exp(rng.uniform(math.log(0.05), math.log(2.0))))
+                phi, nu = float(rng.uniform(0.95, 0.9995)), float(rng.choice([0.0, 0.1, 0.5]))
+                var0 = sigma * sigma / (1.0 - phi * phi)
+                var, cov = var0 + nu * nu, var0 * phi
+            else:
+                sigma = float(np.exp(rng.uniform(math.log(0.03), math.log(0.3))))
+                theta = float(rng.uniform(0.0, 2.0))
+                var, cov = sigma * sigma * (1.0 + theta * theta), sigma * sigma * theta
+            if var <= 9.0:
+                pairs.append((var, cov))
+        oracles = []
+        for var, cov in pairs:
+            oracle = [rectangle_conditional_entropy(math.sqrt(var), cov / var)]
+            if var < 0.0625:
+                oracle.append(float(cell_conditional_entropy(var, cov)))
+            oracles.append((var, cov, oracle))
+        return oracles
+
+    @pytest.mark.parametrize("tol", [None, 1e-9, 1e-6, 1e-3])
+    def test_single_level_within_its_bound(self, monkeypatch, sweep_sample, tol):
+        # the joint is off by at most ALIASING_TOL in total variation from
+        # the trapezoid, plus 1e-14 the span and the box leave out; Winter's
+        # bound turns that into H.  The shipped tolerance leaves only
+        # round-off; the coarser ones give errors large enough to see
+        from entrobound import processes
+
+        if tol is not None:
+            monkeypatch.setattr(processes, "ALIASING_TOL", tol)
+        errors = []
+        for var, cov, oracles in sweep_sample:
+            outcomes = 2 * processes._box_halfwidth(math.sqrt(var)) + 1
+            bound = winter_bound(processes.ALIASING_TOL + 1e-14, outcomes)
+            h = processes._pair_conditional_entropy(var, cov)
+            for oracle in oracles:
+                errors.append(abs(h - oracle))
+                assert errors[-1] <= bound, (var, cov, oracle)
+        if tol is not None and tol >= 1e-6:
+            assert max(errors) > 1e-11
 
     def test_fig3_small_sigma_against_cell_oracle(self):
         # H_CE of 1e-21 to 1e-4 at sigma = 0.05: the rows are near-certain, and
@@ -825,42 +901,44 @@ class TestKernelOracles:
 
     # (var, cov) = (1.25, 0.5): the cell tables have sd = sqrt(0.75) (the
     # marginal would have sqrt(1.25)); tau = sqrt(0.75 * 0.5 / 1.75), so the
-    # spacing is h = 1/2, the largest power of two <= 2 tau = 0.93, and the
-    # grid spans +-8 sqrt(0.5) = +-5.66, rounded out to +-12 h
-    STEP, HALF_PANELS = 0.5, 12
+    # spacing is h = 1/4, the largest power of two <= 0.749 tau = 0.35, and
+    # the grid spans +-8 sqrt(0.5) = +-5.66, rounded out to +-23 h
+    STEP, HALF_PANELS = 0.25, 23
 
     def test_trapezoid_evaluates_each_node_once(self, monkeypatch):
-        # only the s >= 0 half of the grid is evaluated, and each level adds
-        # only its midpoints: every node of the final half grid once, while
-        # the full grid's 2n + 1 nodes double their panels at each level
+        # one level, and only the s >= 0 half of its grid is evaluated: the
+        # chunks are the half grid's nodes in order, each once, and the joint
+        # goes through one entropy evaluation
         from entrobound import processes
 
         tau = math.sqrt(0.75 * 0.5 / 1.75)
-        assert self.STEP <= processes.SPACING * tau < 2 * self.STEP
+        spacing = math.pi * tau * math.sqrt(2.0 / math.log(2.0 / processes.ALIASING_TOL))
+        assert self.STEP <= spacing < 2 * self.STEP
         assert math.ceil(8.0 * math.sqrt(0.5) / self.STEP) == self.HALF_PANELS
 
-        levels = []
-        inner = processes._lattice_rows
+        chunks, entropies = [], []
+        inner_rows, inner_entropy = processes._lattice_rows, processes._pmf_entropy
 
         def recording(idx, s, sd, period):
             if sd == math.sqrt(0.75):
-                levels.append(np.array(s, dtype=float))
-            return inner(idx, s, sd, period)
+                chunks.append(np.array(s, dtype=float))
+            return inner_rows(idx, s, sd, period)
+
+        def counting(p):
+            entropies.append(p.shape)
+            return inner_entropy(p)
 
         monkeypatch.setattr(processes, "_lattice_rows", recording)
+        monkeypatch.setattr(processes, "_pmf_entropy", counting)
         processes._pair_conditional_entropy(1.25, 0.5)
-        assert len(levels) >= 2
-        full = [2 * sum(map(len, levels[: k + 1])) - 1 for k in range(len(levels))]
-        assert full == [2 * self.HALF_PANELS * 2**k + 1 for k in range(len(levels))]
-        spacing = self.STEP / 2 ** (len(levels) - 1)
-        half_grid = spacing * np.arange(self.HALF_PANELS * 2 ** (len(levels) - 1) + 1)
-        np.testing.assert_array_equal(np.sort(np.concatenate(levels)), half_grid)
+        np.testing.assert_array_equal(np.concatenate(chunks), self.STEP * np.arange(self.HALF_PANELS + 1))
+        assert len(entropies) == 1
 
     @pytest.mark.parametrize("cov", [0.5, -0.5])
     def test_one_table_per_chunk(self, monkeypatch, cov):
-        # with chunks of 5 s-nodes, each chunk makes one _interval_probs table
-        # with a row per distinct fractional offset: level 0 (spacing 1/2) and
-        # level 1 (the 1/4 + Z/2 midpoints) have 2 offsets, level k >= 2 has 2^k
+        # with chunks of 7 s-nodes, each chunk makes one _interval_probs table
+        # with a row per distinct fractional offset: at spacing 1/4 the
+        # offsets repeat every 4 nodes, so a chunk of n nodes has min(4, n)
         from entrobound import processes
 
         chunks, tables = [], []
@@ -879,24 +957,22 @@ class TestKernelOracles:
         monkeypatch.setattr(processes, "_lattice_rows", recording_rows)
         monkeypatch.setattr(processes, "_interval_probs", recording_probs)
         # the block cap sets the chunk: box width + 3 = 32 elements a node at var 1.25
-        cap = 5 * (2 * processes._box_halfwidth(math.sqrt(1.25)) + 4)
+        cap = 7 * (2 * processes._box_halfwidth(math.sqrt(1.25)) + 4)
         monkeypatch.setattr(processes, "_BLOCK_ELEMENTS", cap)
         processes._pair_conditional_entropy(1.25, cov)
-        # levels add 13, 12, 24, 48, ... nodes
-        levels = [self.HALF_PANELS + 1] + [self.HALF_PANELS * 2**k for k in range(len(chunks))]
-        sizes = [(level, n) for level, total in enumerate(levels) for n in [5] * (total // 5) + [total % 5] if n]
-        assert [len(s) for s in chunks] == [n for _, n in sizes[: len(chunks)]]
+        # the half grid's 24 nodes: three full chunks and one of 3
+        assert [len(s) for s in chunks] == [7, 7, 7, 3]
         assert len(tables) == len(chunks)
-        for (level, n), s, rows in zip(sizes, chunks, tables):
-            assert rows == len(np.unique(s % 1.0)) == min(2 ** max(level, 1), n)
+        for s, rows in zip(chunks, tables):
+            assert rows == len(np.unique(s % 1.0)) == min(4, len(s))
 
     @pytest.mark.parametrize("chunk", [3, 5, 6])
     def test_periodic_offsets_match_sorted_offsets(self, monkeypatch, chunk):
         # chunks of 3, 5 or 6 nodes against offset periods 2 (spacing 1/2 at
-        # (1.25, 0.5)) and 4 (spacing 1/4 at (0.25, 0.125)): a chunk shorter
-        # than its period (which is then capped at the chunk), and chunks that
-        # are no multiple of it.  Each chunk's rows equal, bit for bit, those
-        # of a table with a row per offset found by sorting
+        # (5, 2)) and 4 (spacing 1/4 at (1.25, 0.5)): a chunk shorter than its
+        # period (which is then capped at the chunk), and chunks that are no
+        # multiple of it.  Each chunk's rows equal, bit for bit, those of a
+        # table with a row per offset found by sorting
         from entrobound import processes
 
         def sorted_rows(idx, s, sd):
@@ -915,7 +991,7 @@ class TestKernelOracles:
             return rows
 
         monkeypatch.setattr(processes, "_lattice_rows", checking)
-        for var, cov in [(1.25, 0.5), (0.25, 0.125)]:
+        for var, cov in [(5.0, 2.0), (1.25, 0.5)]:
             # the block cap sets the chunk: box width + 3 elements a node
             cap = chunk * (2 * processes._box_halfwidth(math.sqrt(var)) + 4)
             monkeypatch.setattr(processes, "_BLOCK_ELEMENTS", cap)

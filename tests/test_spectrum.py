@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from entrobound.bounds import gaussian_psd_bound, univariate_me_bound
-from entrobound.numerics import DomainError, integrate_periodic
+from entrobound.numerics import MAX_POINTS, DomainError, integrate_periodic
 from entrobound.spectrum import (
     CovarianceSequence,
     PsdValidationError,
@@ -135,6 +135,12 @@ class TestToeplitzGaussianBoundFinite:
     def test_empty_matrix(self):
         with pytest.raises(DomainError):
             toeplitz_gaussian_bound_finite(CovarianceSequence((1.0,)), 0)
+
+    @pytest.mark.parametrize("n", [MAX_POINTS + 1, 10**12])
+    def test_size_limit(self, n):
+        # rejected before the (k + 1) x n band is allocated
+        with pytest.raises(DomainError, match="n must lie in"):
+            toeplitz_gaussian_bound_finite(CovarianceSequence((1.0, 0.5)), n)
 
 
 class TestFiedlerCheck:
