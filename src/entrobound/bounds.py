@@ -29,7 +29,7 @@ from .numerics import (
     DomainError,
     integrate_periodic_full,
 )
-from .spectrum import CovarianceSequence, SpectralDensity, closed_form_log_cos_integral, levinson_durbin
+from .spectrum import CovarianceSequence, SpectralDensity, closed_form_log_cos_integral, reflection_coefficients
 
 LOG_2PI_E = math.log(2.0 * math.pi * math.e)
 
@@ -293,29 +293,33 @@ def _dual_bound(a: np.ndarray, beta: np.ndarray, table: np.ndarray) -> float:
     """A lower bound on the order-k minimum from the moments of 1/Psi at beta.
 
     For mu >= 0 and |z_m| <= mu, weak duality bounds the minimum below by the
-    Gaussian maximum-entropy value of (a_0 - mu, a_1 + z_1, ...,
-    a_k + z_k), which Levinson-Durbin gives in closed form.  The multipliers
-    are read off g_m = mean(cos(m*lambda) / Psi_p) at p = (1, beta) / Sigma(beta)
+    Gaussian maximum-entropy value of (a_0 - mu, a_1 + z_1, ..., a_k + z_k),
+    from its order-k prediction error.  The multipliers are read off
+    g_m = mean(cos(m*lambda) / Psi_p) at p = (1, beta) / Sigma(beta)
     through the KKT conditions g = (a_0 - mu, a_1 + z_1, ...), so the
     bound is tight when beta is optimal.
     """
     g = (a[0] + beta @ a[1:]) * (table / (1.0 + beta @ table[1:])).mean(axis=1)
     mu = max(0.0, a[0] - g[0])
     dual = np.concatenate(([a[0] - mu], a[1:] + np.clip(g[1:] - a[1:], -mu, mu)))
-    _, kappas, err = levinson_durbin(dual)
+    kappas, errs = reflection_coefficients(dual)
     if not (dual[0] > 0.0 and abs(kappas[-1]) < 1.0):
         return -math.inf
-    return 0.5 * (LOG_2PI_E + math.log(err))
+    return 0.5 * (LOG_2PI_E + math.log(errs[-1]))
 
 
 def _burg(cov: CovarianceSequence) -> tuple[np.ndarray, np.ndarray, float]:
-    """(R(0) + 1/12, R(1..k)), its Levinson-Durbin prediction polynomial and error."""
+    """(R(0) + 1/12, R(1..k)), its prediction polynomial (stepped up from the
+    reflection coefficients, a <- a + kappa * reversed(a)) and error."""
     a = np.asarray(cov.values, dtype=float)
     a[0] += 1.0 / 12.0
-    poly, kappas, err = levinson_durbin(a)
+    kappas, errs = reflection_coefficients(a)
     if kappas and not abs(kappas[-1]) < 1.0:
         raise DomainError("Toeplitz matrix of R(0..k) + I/12 is not positive definite")
-    return a, poly, err
+    poly = [1.0]
+    for kappa in kappas:
+        poly = [x + kappa * y for x, y in zip(poly + [0.0], [0.0] + poly[::-1])]
+    return a, np.array(poly), errs[-1]
 
 
 def gaussian_bound_k(cov: CovarianceSequence) -> BoundResult:
@@ -335,10 +339,10 @@ def tdist_bound_k(cov: CovarianceSequence) -> BoundResult:
     the minimum over the closed region sum|beta_m| <= 1.
 
     Without the region the minimum is Burg's maximum-entropy value
-    1/2 log(2*pi*e*sigma_k^2), with sigma_k^2 the order-k Levinson-Durbin
-    prediction error of (R(0) + 1/12, R(1), ..., R(k)) and
-    beta_m = 2 c_m / c_0, c_m = sum_j a_j a_{j+m} for its prediction
-    polynomial a.  When that beta lies in the region it is returned as is.
+    1/2 log(2*pi*e*sigma_k^2), with sigma_k^2 the order-k prediction error
+    of (R(0) + 1/12, R(1), ..., R(k)) and beta_m = 2 c_m / c_0,
+    c_m = sum_j a_j a_{j+m} for its prediction polynomial a.  When that
+    beta lies in the region it is returned as is.
     Otherwise the minimum lies on the region's boundary; the problem is convex
     in the precision coordinates p = (1, beta) / Sigma(beta) and is solved by
     a primal-dual interior-point method on 256 quadrature nodes, doubled while

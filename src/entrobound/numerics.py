@@ -20,8 +20,8 @@ SQRT2 = math.sqrt(2.0)
 # where the rounding of the sum itself exceeds ABS_TOL), and gives up with
 # ConvergenceError beyond MAX_POINTS nodes.  The order-k doubling in ``bounds``
 # runs from 256 nodes up to MAX_POINTS until its duality gap is below ABS_TOL.
-# MAX_POINTS also caps the conditional-entropy trapezoid in ``processes`` and
-# the Toeplitz size in ``spectrum``.
+# MAX_POINTS also caps the conditional-entropy trapezoid in ``processes``, and
+# n in ``spectrum``'s toeplitz_gaussian_bound_finite and tridiagonal_determinant.
 MAX_POINTS = 2**21
 ABS_TOL = 1e-9
 REL_TOL = 1e-13

@@ -19,28 +19,36 @@ class PsdValidationError(DomainError):
     """A candidate spectral density is negative on the validation grid."""
 
 
-def levinson_durbin(r: Sequence[float]) -> tuple[np.ndarray, list, float]:
-    """Levinson-Durbin recursion on the autocovariances r[0..k].
+def reflection_coefficients(r: Sequence[float], n: int | None = None) -> tuple[list, list]:
+    """Reflection coefficients kappa_1.. and prediction errors err_0, err_1, ..
+    of r[0..k] zero-padded to n terms (n = k + 1 by default).
 
-    Returns the prediction polynomial a (a[0] = 1), the reflection
-    coefficients kappa_1.. and the prediction error variance.  The recursion
-    stops at the first |kappa_m| >= 1, where the Toeplitz matrix of
-    r[0..m] is not positive definite; the last returned coefficient is then
-    that kappa_m.
+    The Schur recursion on the two generator rows (Kailath & Sayed, SIAM
+    Review 37, 1995); each row is a window of k + 1 terms, so a step costs
+    O(k).  It stops at the first |kappa_m| >= 1, where the Toeplitz matrix of
+    r[0..m] is not positive definite, and returns that kappa_m last.  It also
+    stops once err has stayed unchanged in floating point (kappa_m^2 below
+    half an ulp of 1) for k + 1 successive steps, the window's length.
     """
-    r = np.asarray(r, dtype=float)
-    a = np.ones(1)
-    kappas = []
-    err = float(r[0])
-    for m in range(1, len(r)):
-        kappa = -float(a @ r[m:0:-1]) / err
+    u = [float(x) for x in r]
+    v = u[1:] + [0.0]
+    kappas, errs, same = [], [u[0]], 0
+    for _ in range((len(u) if n is None else n) - 1):
+        kappa = -v[0] / u[0]
         kappas.append(kappa)
         if not abs(kappa) < 1.0:
             break
-        a = np.append(a, 0.0)
-        a += kappa * a[::-1]
-        err *= 1.0 - kappa * kappa
-    return a, kappas, err
+        for i in range(1, len(u)):  # u <- u + kappa * v, v <- shifted (v + kappa * u)
+            x, y = u[i], v[i]
+            u[i], v[i - 1] = x + kappa * y, y + kappa * x
+        v[-1] = 0.0
+        err = u[0] * (1.0 - kappa * kappa)
+        same = same + 1 if err == u[0] else 0
+        u[0] = err
+        errs.append(err)
+        if same == len(u):
+            break
+    return kappas, errs
 
 
 @dataclass(frozen=True)
@@ -61,7 +69,7 @@ class CovarianceSequence:
             raise DomainError(f"R(0) must be positive, got {r0!r}")
         # The Toeplitz matrix of R(0..k) must be positive semidefinite, up to
         # a relative 1e-12 raise of its diagonal (singular sequences pass).
-        _, kappas, _ = levinson_durbin((r0 * (1.0 + 1e-12),) + vals[1:])
+        kappas, _ = reflection_coefficients((r0 * (1.0 + 1e-12),) + vals[1:])
         if len(kappas) == 1 and not abs(kappas[0]) < 1.0:
             raise DomainError(f"|R(1)| = {abs(vals[1])} exceeds R(0) = {r0} (Cauchy-Schwarz)")
         if kappas and not abs(kappas[-1]) < 1.0:
@@ -184,15 +192,9 @@ class ToeplitzSpec:
 
     def matrix(self) -> np.ndarray:
         """Dense realization (for small n / testing)."""
-        m = np.zeros((self.n, self.n))
-        np.fill_diagonal(m, self.diagonal)
-        for d, v in enumerate(self.off_diagonals, start=1):
-            if d >= self.n:
-                break
-            idx = np.arange(self.n - d)
-            m[idx, idx + d] = v
-            m[idx + d, idx] = v
-        return m
+        band = np.array((self.diagonal,) + self.off_diagonals + (0.0,), dtype=float)
+        lags = np.abs(np.subtract.outer(np.arange(self.n), np.arange(self.n)))
+        return band[np.minimum(lags, len(band) - 1)]
 
 
 def psd_from_finite_covariance(cov: CovarianceSequence) -> SpectralDensity:
@@ -213,31 +215,27 @@ def closed_form_log_cos_integral(s: float) -> float:
     return math.log(0.5 * (1.0 + math.sqrt(1.0 - s * s)))
 
 
+def _check_dimension(n: int) -> None:
+    if not (isinstance(n, (int, np.integer)) and 1 <= n <= MAX_POINTS):
+        raise DomainError(f"n must lie in [1, {MAX_POINTS}] and be an integer, got {n!r}")
+
+
 def toeplitz_gaussian_bound_finite(cov: CovarianceSequence, n: int) -> float:
     """Finite-n Gaussian bound (1/n)[(n/2) log(2*pi*e) + (1/2) log det(K + I/12)].
 
     K is the n x n Toeplitz matrix with entries R(|i-j|) (zero beyond the
-    stored lags).  The log-determinant is computed through a banded
-    Cholesky factorization, O(n * k^2) for bandwidth k.  n is at most
-    MAX_POINTS, checked before anything is allocated.
+    stored lags).  log det(K + I/12) is the sum of log err_m, m < n, from
+    :func:`reflection_coefficients` on (R(0) + 1/12, R(1), .., R(k)), O(k) a
+    step.  Where that recursion stops early at step M, err_M stands in for
+    the later err_m; err is non-increasing, so the truncated tail can only
+    raise the value, which stays an upper bound up to rounding.  n is an
+    integer in [1, MAX_POINTS], checked before any work.
     """
-    if not 1 <= n <= MAX_POINTS:
-        raise DomainError(f"n must lie in [1, {MAX_POINTS}], got {n!r}")
-    from scipy import linalg
-
-    k = min(cov.k, n - 1)
-    ab = np.zeros((k + 1, n))
-    ab[0, :] = cov.values[0] + 1.0 / 12.0
-    for i in range(1, k + 1):
-        ab[i, : n - i] = cov.values[i]
-    try:
-        factor = linalg.cholesky_banded(ab, lower=True)
-    except linalg.LinAlgError as exc:
-        raise DomainError(
-            "Toeplitz matrix K + I/12 is not positive definite; "
-            "the covariance sequence is invalid"
-        ) from exc
-    logdet = 2.0 * float(np.sum(np.log(factor[0, :])))
+    _check_dimension(n)
+    kappas, errs = reflection_coefficients((cov.values[0] + 1.0 / 12.0,) + cov.values[1:], n)
+    if kappas and not abs(kappas[-1]) < 1.0:
+        raise DomainError("Toeplitz matrix K + I/12 is not positive definite; the covariance sequence is invalid")
+    logdet = math.fsum(map(math.log, errs)) + (n - len(errs)) * math.log(errs[-1])
     return 0.5 * math.log(TWO_PI * math.e) + logdet / (2.0 * n)
 
 
@@ -269,15 +267,13 @@ def tridiagonal_determinant(alpha: float, beta: float, n: int) -> float:
 
     Uses the recursion phi_{m+2} = alpha*phi_{m+1} - beta^2*phi_m with
     phi_0 = 1, phi_1 = alpha; valid (positive definite) for |beta| < alpha/2.
+    n is an integer in [1, MAX_POINTS], checked before any work.
     """
+    _check_dimension(n)
     if not alpha > 0:
         raise DomainError(f"alpha must be positive, got {alpha!r}")
     if not abs(beta) < alpha / 2.0:
-        raise DomainError(
-            f"positive definiteness requires |beta| < alpha/2, got beta={beta!r}"
-        )
-    if n < 1:
-        raise DomainError("n must be >= 1")
+        raise DomainError(f"positive definiteness requires |beta| < alpha/2, got beta={beta!r}")
     prev, cur = 1.0, alpha
     for _ in range(n - 1):
         prev, cur = cur, alpha * cur - beta * beta * prev

@@ -29,6 +29,25 @@ def random_ma_covariance(rng: np.random.Generator, max_lags: int = 4, lags: int 
     return CovarianceSequence(tuple(values))
 
 
+def banded_cholesky_bound(values, n: int) -> float:
+    """1/2 log(2*pi*e) + log det(K + I/12) / (2n) through scipy's banded Cholesky
+    factorization, O(n * k^2): the reference for
+    ``spectrum.toeplitz_gaussian_bound_finite``.
+
+    K is the n x n Toeplitz matrix of ``values`` = R(0..k), zero beyond lag k.
+    Raises ``scipy.linalg.LinAlgError`` where K + I/12 is not positive definite.
+    """
+    from scipy import linalg
+
+    k = min(len(values) - 1, n - 1)
+    ab = np.zeros((k + 1, n))
+    ab[0, :] = values[0] + 1.0 / 12.0
+    for i in range(1, k + 1):
+        ab[i, : n - i] = values[i]
+    logdet = 2.0 * float(np.sum(np.log(linalg.cholesky_banded(ab, lower=True)[0, :])))
+    return 0.5 * math.log(2.0 * math.pi * math.e) + logdet / (2.0 * n)
+
+
 def _rectangle_cells(sd: float, rho: float):
     """Exact cell probabilities of Y = Q(U), (U_0, U_1) bivariate normal.
 

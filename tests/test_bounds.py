@@ -18,8 +18,8 @@ from entrobound.processes import BinomialEmission, TwoStateHmm, hmm_covariance, 
 from entrobound.spectrum import (
     CovarianceSequence,
     SpectralDensity,
-    levinson_durbin,
     psd_from_finite_covariance,
+    reflection_coefficients,
 )
 
 from conftest import hmm_entropy_sandwich, random_ma_covariance
@@ -143,11 +143,9 @@ class TestClosedFormsAgainstQuadrature:
         assert gaussian_psd_bound(psd).value == pytest.approx(1.19913440138779, abs=1e-12)
         rate = gaussian_entropy_rate(psd)
         assert rate == pytest.approx(0.97545597, abs=1e-8)
-        # Levinson-Durbin on the zero-padded sequence falls to the rate from above
+        # the prediction error of the zero-padded sequence falls to the rate from above
         for order in (10, 100, 1000):
-            padded = np.zeros(order + 1)
-            padded[: cov.k + 1] = cov.values
-            err = levinson_durbin(padded)[2]
+            err = reflection_coefficients(cov.values, order + 1)[1][-1]
             assert rate <= 0.5 * (LOG_2PI_E + math.log(err))
 
 

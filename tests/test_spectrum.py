@@ -13,9 +13,16 @@ from entrobound.spectrum import (
     closed_form_log_cos_integral,
     fiedler_determinant_check,
     psd_from_finite_covariance,
+    reflection_coefficients,
     toeplitz_gaussian_bound_finite,
     tridiagonal_determinant,
 )
+
+from conftest import banded_cholesky_bound, random_ma_covariance
+
+# covariances whose dithered sequence has kappa^2 below 1e-17 at step 116 and
+# 4e-12 at the next step
+OSCILLATING = (2.5846429054315254, 1.4460973111446234, 1.4934826054717434, 0.8043211353897388, 0.8055034249279718)
 
 
 class TestCovarianceSequence:
@@ -136,11 +143,104 @@ class TestToeplitzGaussianBoundFinite:
         with pytest.raises(DomainError):
             toeplitz_gaussian_bound_finite(CovarianceSequence((1.0,)), 0)
 
-    @pytest.mark.parametrize("n", [MAX_POINTS + 1, 10**12])
+    @pytest.mark.parametrize("n", [MAX_POINTS + 1, 10**12, 8.0, 2.5])
     def test_size_limit(self, n):
-        # rejected before the (k + 1) x n band is allocated
+        # n must be an integer in [1, MAX_POINTS], checked before any work
         with pytest.raises(DomainError, match="n must lie in"):
             toeplitz_gaussian_bound_finite(CovarianceSequence((1.0, 0.5)), n)
+
+    def test_numpy_integer_n(self):
+        cov = CovarianceSequence((1.0, 0.5))
+        assert toeplitz_gaussian_bound_finite(cov, np.int64(8)) == toeplitz_gaussian_bound_finite(cov, 8)
+
+
+class TestToeplitzAgainstCholesky:
+    # the banded Cholesky factorization (conftest) is the reference
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_seeded_covariances(self, k):
+        rng = np.random.default_rng(400 + k)
+        for scale in (1e-2, 1.0, 1e2, 1e4):
+            values = random_ma_covariance(rng, lags=k).values
+            cov = CovarianceSequence(tuple(v * scale / values[0] for v in values))
+            for n in (1, 2, k + 1, 64, 512, 4096):
+                expected = banded_cholesky_bound(cov.values, n)
+                assert toeplitz_gaussian_bound_finite(cov, n) == pytest.approx(expected, abs=1e-13)
+
+    def test_oscillating_reflection_coefficients(self):
+        # one kappa^2 below 1e-17 does not close the tail: the recursion runs on
+        # until err has stayed unchanged for k + 1 steps
+        kappas, _ = reflection_coefficients((OSCILLATING[0] + 1.0 / 12.0,) + OSCILLATING[1:], 512)
+        first = next(m for m, kappa in enumerate(kappas) if kappa * kappa < 1e-17)
+        assert max(kappa * kappa for kappa in kappas[first:]) > 1e-12
+        cov = CovarianceSequence(OSCILLATING)
+        for n in (512, 4096):
+            expected = banded_cholesky_bound(cov.values, n)
+            assert toeplitz_gaussian_bound_finite(cov, n) == pytest.approx(expected, abs=1e-13)
+
+    def test_raises_where_the_oracle_raises(self):
+        from scipy.linalg import LinAlgError
+
+        cov = CovarianceSequence((1.0, 0.9, 0.8))
+        assert toeplitz_gaussian_bound_finite(cov, 3) == pytest.approx(1.0642767617343842, abs=1e-15)
+        for n in (4, 5, 64, 512):
+            with pytest.raises(LinAlgError):
+                banded_cholesky_bound(cov.values, n)
+            with pytest.raises(DomainError, match="not positive definite"):
+                toeplitz_gaussian_bound_finite(cov, n)
+
+    def test_truncated_geometric_sequences(self):
+        # s * phi^m cut at lag k: the zero-padded matrix plus I/12 is positive
+        # definite for some (s, phi, k, n) and not for others
+        from scipy.linalg import LinAlgError
+
+        rng = np.random.default_rng(12)
+        outcomes = set()
+        for _ in range(200):
+            k, phi, scale = int(rng.integers(1, 9)), rng.uniform(-0.999, 0.999), 10.0 ** rng.uniform(-2, 4)
+            cov = CovarianceSequence(tuple(scale * phi**m for m in range(k + 1)))
+            for n in (1, 2, k + 1, 64, 512, 4096):
+                try:
+                    expected = banded_cholesky_bound(cov.values, n)
+                except LinAlgError:
+                    with pytest.raises(DomainError):
+                        toeplitz_gaussian_bound_finite(cov, n)
+                    outcomes.add("raises")
+                else:
+                    assert toeplitz_gaussian_bound_finite(cov, n) == pytest.approx(expected, abs=1e-13)
+                    outcomes.add("returns")
+        assert outcomes == {"raises", "returns"}
+
+    def test_near_unit_root_against_mpmath(self):
+        # R(m) = 1e4 * 0.9999^m, m <= 8: K + I/12 is positive definite up to
+        # n = 9.  The value is above the 50-digit determinant's, by at most
+        # 1e-12: R(0) + 1/12 rounds at 1e4 (about 5e-13 here)
+        mpmath = pytest.importorskip("mpmath")
+        values = tuple(1e4 * 0.9999**m for m in range(9))
+        cov = CovarianceSequence(values)
+        size = 64
+        with mpmath.workdps(50):
+            matrix = mpmath.matrix(size, size)
+            for i in range(size):
+                for j in range(size):
+                    matrix[i, j] = (values[abs(i - j)] if abs(i - j) <= 8 else 0) + (i == j) * mpmath.mpf(1) / 12
+            logdet = mpmath.mpf(0)
+            for n in range(1, size + 1):
+                # the n-th pivot of Gaussian elimination is det K_n / det K_(n-1)
+                pivot = matrix[n - 1, n - 1]
+                if pivot <= 0:
+                    break
+                for row in range(n, size):
+                    factor = matrix[row, n - 1] / pivot
+                    for col in range(n - 1, size):
+                        matrix[row, col] -= factor * matrix[n - 1, col]
+                logdet += mpmath.log(pivot)
+                exact = float(mpmath.log(2 * mpmath.pi * mpmath.e) / 2 + logdet / (2 * n))
+                assert 0.0 <= toeplitz_gaussian_bound_finite(cov, n) - exact <= 1e-12
+        assert n == 10
+        for n in (10, 11, 64):
+            with pytest.raises(DomainError):
+                toeplitz_gaussian_bound_finite(cov, n)
 
 
 class TestFiedlerCheck:
@@ -215,6 +315,15 @@ class TestTridiagonalDeterminant:
             tridiagonal_determinant(-1.0, 0.0, 3)
         with pytest.raises(DomainError):
             tridiagonal_determinant(2.0, 0.5, 0)
+
+    @pytest.mark.parametrize("n", [8.0, 2.5, 10**12])
+    def test_non_integer_or_huge_n(self, n):
+        # checked before the O(n) loop
+        with pytest.raises(DomainError, match="n must lie in"):
+            tridiagonal_determinant(2.0, 0.5, n)
+
+    def test_numpy_integer_n(self):
+        assert tridiagonal_determinant(2.0, 0.5, np.int64(3)) == tridiagonal_determinant(2.0, 0.5, 3)
 
 
 class TestToeplitzSpec:
