@@ -22,7 +22,7 @@ from .bounds import (
     univariate_me_bound,
 )
 from .numerics import MAX_POINTS, SQRT2, DomainError
-from .spectrum import CovarianceSequence, SpectralDensity
+from .spectrum import CovarianceSequence, SpectralDensity, closed_form_log_cos_integral
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +498,7 @@ SMALL_SCALE = 0.2
 # Terms per axis of the double sum, which needs about sqrt(40 / (a * gap)),
 # gap = var - |cov|.  The cap is reached at gap = 7.7e-6; both quantized
 # models have gap >= sigma^2 / 2, so none with sigma >= 0.004 reaches it.
+# The sums take O(1) memory and the double sum a band, so the cap bounds time.
 MAX_FOURIER_TERMS = 2**9
 
 # The double sum rounds to about 5e-14 var.  Where E[Q(X)^2] is below this
@@ -506,15 +507,15 @@ MAX_FOURIER_TERMS = 2**9
 LAG_RESOLUTION = 1e-10
 
 
-def _fourier_terms(gap: float) -> np.ndarray:
-    """k = 1..n, where exp(-a * gap * (n+1)^2) < e^-40."""
+def _fourier_terms(gap: float) -> int:
+    """Terms a side, the n with exp(-a * gap * (n+1)^2) < e^-40."""
     n = int(math.sqrt(40.0 / (_A * gap))) + 1
     if n > MAX_FOURIER_TERMS:
         raise DomainError(
             f"the quantized moment needs {n} Fourier terms a side (variance minus "
             f"|covariance| = {gap:.3g}), over the limit of {MAX_FOURIER_TERMS}"
         )
-    return np.arange(1.0, n + 1)
+    return n
 
 
 def _second_moment(var: float) -> float:
@@ -531,9 +532,23 @@ def _second_moment(var: float) -> float:
         return 0.0
     if scale < SMALL_SCALE:
         return sum((2 * j - 1) * math.erfc((j - 0.5) / (SQRT2 * scale)) for j in range(1, 5))
-    k = _fourier_terms(var)
-    e = (-1.0) ** (k + 1) * np.exp(-_A * k * k * var)
-    return var + 1.0 / 12.0 - 4.0 * var * float(e.sum()) - float((e / (k * k)).sum()) / math.pi**2
+    e = [(-1.0) ** (k + 1) * math.exp(-_A * k * k * var) for k in range(1, _fourier_terms(var) + 1)]
+    fourier = math.fsum(x / (k * k) for k, x in enumerate(e, 1)) / math.pi**2
+    return var + 1.0 / 12.0 - 4.0 * var * math.fsum(e) - fourier
+
+
+def _cross_terms(var: float, c: float, n: int):
+    """Terms (-1)^(k+l) e^(-a q(k,-l)) (1 - e^(-4 a k l c)) / (k l) of the double
+    sum at cov = c >= 0 with a q(k,-l) <= 40, the per-axis cut.  As q(k,-l) =
+    var (l - c k / var)^2 + k^2 (var - c^2 / var), each k keeps an interval of l:
+    a band about l = c k / var, here l >= k only, off-diagonal terms doubled."""
+    width = (var - c) * (var + c) / var  # var - c^2 / var, without the cancellation
+    for k in range(1, n + 1):
+        centre, radius = c * k / var, math.sqrt(max(0.0, 40.0 / _A - k * k * width) / var)
+        for l in range(max(k, math.ceil(centre - radius)), math.floor(centre + radius) + 1):
+            kl = k * l
+            t = math.exp(-_A * ((k * k + l * l) * var - 2.0 * c * kl)) * -math.expm1(-4.0 * _A * c * kl) / kl
+            yield (-t if (k + l) % 2 else t) * (1.0 if l == k else 2.0)
 
 
 def _lag_moment(var: float, cov: float) -> float:
@@ -545,18 +560,15 @@ def _lag_moment(var: float, cov: float) -> float:
 
     q(k, l) = (k^2 + l^2) var + 2 k l cov.  The bracket is evaluated as
     e^(-a q(k,-l)) * -expm1(-4 a k l cov) at cov >= 0 (odd in cov), so no
-    term cancels.  See LAG_RESOLUTION for the small-scale rule.
+    term cancels.  The double sum runs over a band (:func:`_cross_terms`).
+    See LAG_RESOLUTION for the small-scale rule.
     """
     if var < SMALL_SCALE**2 and _second_moment(var) <= LAG_RESOLUTION * var:
         return 0.0
-    c = abs(cov)
-    k = _fourier_terms(var - c)
-    alt = (-1.0) ** (k + 1)
-    kl = np.outer(k, k)
-    q_minus = np.add.outer(k * k, k * k) * var - 2.0 * c * kl  # q(k, -l) at cov = c
-    pair = np.exp(-_A * q_minus) * -np.expm1(-4.0 * _A * c * kl)
-    cross = math.copysign(float(alt @ (pair / kl) @ alt), cov) / (2.0 * math.pi**2)
-    return cov - 4.0 * cov * float(alt @ np.exp(-_A * k * k * var)) + cross
+    n = _fourier_terms(var - abs(cov))
+    single = math.fsum((-1.0) ** (k + 1) * math.exp(-_A * k * k * var) for k in range(1, n + 1))
+    cross = math.copysign(math.fsum(_cross_terms(var, abs(cov), n)), cov) / (2.0 * math.pi**2)
+    return cov - 4.0 * cov * single + cross
 
 
 # ---------------------------------------------------------------------------
@@ -591,8 +603,6 @@ def qma_th1_bound(model: QuantizedMaModel) -> float:
     theta*W_{n-1}) is 1-dependent, so R0 + 2 R1 cos(lambda) is its PSD and is
     >= 0, hence |K| <= R0 / (R0 + 1/12) < 1.
     """
-    from .spectrum import closed_form_log_cos_integral
-
     k_ratio = qma_k_ratio(model)
     return univariate_me_bound(qma_r0(model)) + 0.5 * closed_form_log_cos_integral(k_ratio)
 

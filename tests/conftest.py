@@ -236,7 +236,10 @@ def quantized_cross_moment(var_x: float, var_y: float, cov: float, terms: int = 
     so E[Q(X) Q(Y)] = cov - E[X e(Y)] - E[e(X) Y] + E[e(X) e(Y)].  Since
     q(k, l) >= (min(var_x, var_y) - |cov|)(k^2 + l^2), the terms beyond
     ``terms`` are below exp(-a (min var - |cov|) terms^2); the oracle needs
-    min var - |cov| well above 0 (it does not cover E[Q(X)^2]).
+    min var - |cov| well above 0 (it does not cover E[Q(X)^2]).  A pair whose
+    exponents a q(k, l) and a q(k, -l) both exceed 100 (checked in double) is
+    skipped: its term is below e^-100 < 4e-44.  So hundreds of terms a side
+    cost 40-digit work only on the pairs that matter.
     """
     import mpmath
 
@@ -247,10 +250,15 @@ def quantized_cross_moment(var_x: float, var_y: float, cov: float, terms: int = 
         def q(k, l):
             return k * k * vx + 2 * k * l * c + l * l * vy
 
+        def negligible(k, l):
+            return min(k * k * var_x + s * 2 * k * l * cov + l * l * var_y for s in (-1, 1)) * 2 * math.pi**2 > 100
+
         total = c
         for k in range(1, terms + 1):
             total -= (-1) ** (k + 1) * 2 * c * (mpmath.exp(-a * k * k * vx) + mpmath.exp(-a * k * k * vy))
             for l in range(1, terms + 1):
+                if negligible(k, l):
+                    continue
                 weight = (-1) ** (k + l) / (2 * mpmath.pi**2 * k * l)
                 total += weight * (mpmath.exp(-a * q(k, -l)) - mpmath.exp(-a * q(k, l)))
         return total

@@ -1173,3 +1173,87 @@ class TestFourierMomentRules:
         # sigma^2 = 0.0 in double precision: every moment is 0, not a division by 0
         ma, ar = QuantizedMaModel(1e-200, 1.0), QuantizedArModel(1e-200, 0.5, 0.0)
         assert (qma_r0(ma), qma_r1(ma), qar_r0(ar), qar_rk(ar, 1)) == (0.0, 0.0, 0.0, 0.0)
+
+
+class TestQuantizedMomentBand:
+    """The scalar moment sums against the 40-digit oracles, and the double
+    sum's band against the full square of the same terms."""
+
+    def test_fig2_rows_against_oracles(self, tmp_path):
+        # every 5th theta of the default grid; the oracles take ~1.5 s here
+        import mpmath
+
+        from entrobound import cli
+
+        out = tmp_path / "fig2.csv"
+        assert cli.main(["fig2", "--out", str(out)]) == 0
+        header, *rows = out.read_text().split()
+        assert header == "theta,K_sigma1,K_sigma5"
+        assert len(rows) == 201
+        for row in rows[::5]:
+            theta, *printed = row.split(",")
+            expected = []
+            for sigma in (1.0, 5.0):
+                var = sigma * sigma * (1.0 + float(theta) ** 2)
+                with mpmath.workdps(40):
+                    r0 = quantized_second_moment(var)
+                    r1 = quantized_cross_moment(var, var, sigma * sigma * float(theta))
+                    k_ratio = float(2 * r1 / (r0 + mpmath.mpf(1) / 12))
+                expected.append(f"{k_ratio:.9g}")
+            assert printed == expected, theta
+
+    @staticmethod
+    def _sweep():
+        # (var, cov) of MA rows at sigma in [0.05, 10], theta in [0, 2], and
+        # AR rows at lags 1-3 with |phi| up to 0.9999 and nu in {0, 0.25, 4};
+        # then the 492-term corner of test_fourier_term_limit
+        rng = np.random.default_rng(2301)
+        rows = []
+        for _ in range(24):
+            sigma, theta = math.exp(rng.uniform(math.log(0.05), math.log(10.0))), rng.uniform(0.0, 2.0)
+            rows.append((sigma * sigma * (1.0 + theta * theta), sigma * sigma * theta))
+        for _ in range(24):
+            sigma = math.exp(rng.uniform(math.log(0.05), math.log(10.0)))
+            phi = (1.0 - 10.0 ** rng.uniform(-4.0, 0.0)) * rng.choice([-1.0, 1.0])
+            nu, lag = rng.choice([0.0, 0.25, 4.0]), int(rng.integers(1, 4))
+            var0 = sigma * sigma / (1.0 - phi * phi)
+            rows.append((var0 + nu * nu, var0 * phi**lag))
+        var0 = 0.0041**2 / (1.0 - 0.9999**2)
+        rows.append((var0, 0.9999 * var0))
+        return rows
+
+    def test_lag_moment_against_oracle(self):
+        from entrobound.processes import _lag_moment
+
+        a = 2.0 * math.pi**2
+        for var, cov in self._sweep():
+            # terms beyond t are below exp(-a (var - |cov|) t^2) < e^-60 each
+            terms = int(math.sqrt(60.0 / (a * (var - abs(cov))))) + 1
+            oracle = float(quantized_cross_moment(var, var, cov, terms=terms))
+            assert abs(_lag_moment(var, cov) - oracle) <= 1e-14 * var, (var, cov)
+
+    def test_band_keeps_every_term_above_the_cut(self):
+        # the square holds every term of k, l <= n; the band visits l >= k
+        # only, so equality also checks the doubling of the off-diagonal terms
+        from entrobound.processes import _cross_terms, _fourier_terms
+
+        a = 2.0 * math.pi**2
+
+        def square(var, c, n, cut):
+            terms = []
+            for k in range(1, n + 1):
+                for l in range(1, n + 1):
+                    kl = k * l
+                    q = (k * k + l * l) * var - 2.0 * c * kl
+                    if a * q <= cut:
+                        terms.append((-1.0) ** (k + l) * math.exp(-a * q) * -math.expm1(-4.0 * a * c * kl) / kl)
+            return math.fsum(terms)
+
+        for var, cov in self._sweep():
+            c = abs(cov)
+            n = _fourier_terms(var - c)
+            band = math.fsum(_cross_terms(var, c, n))
+            assert band == pytest.approx(square(var, c, n, 40.0), rel=1e-15, abs=0.0), (var, cov)
+            # the terms past the cut are each below e^-40; together they stay
+            # far below the double sum's rounding of about 5e-14 var
+            assert band == pytest.approx(square(var, c, n, math.inf), rel=1e-15, abs=1e-16 * var), (var, cov)
