@@ -21,14 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (
-    ABS_TOL,
-    MAX_POINTS,
-    TWO_PI,
-    ConvergenceError,
-    DomainError,
-    integrate_periodic_full,
-)
+from .numerics import ABS_TOL, MAX_POINTS, TWO_PI, ConvergenceError, DomainError
 from .spectrum import CovarianceSequence, SpectralDensity, closed_form_log_cos_integral, reflection_coefficients
 
 LOG_2PI_E = math.log(2.0 * math.pi * math.e)
@@ -55,12 +48,10 @@ _DIVERGED = 1e12
 class BoundResult:
     """A bound value plus diagnostics.  ``duality_gap`` is the value minus a
     weak-duality lower bound, so it certifies how far ``value`` can lie above the
-    infimum; ``quadrature_error_estimate`` is 0 for values in closed form, order k
-    included; ``optimizer_iterations`` counts primal-dual iterations (0 for closed forms)."""
+    infimum; ``optimizer_iterations`` counts primal-dual iterations (0 for closed forms)."""
 
     value: float
     argmin: list | None = None
-    quadrature_error_estimate: float = 0.0
     optimizer_iterations: int = 0
     duality_gap: float = 0.0
 
@@ -121,51 +112,29 @@ def _cosine_log_integral(c: np.ndarray) -> float:
     return math.log(abs(c[q])) + float(logs.sum())
 
 
-class _PsdZero(Exception):
-    pass
-
-
-def _log_integral(psd: SpectralDensity, shift: float) -> tuple[float, float]:
-    """(1/2pi) Int log(Phi + shift) and its error estimate.  A Markov mixture is
-    (A + B cos) / (1 + w^2 - 2w cos), whose denominator's log integrates to 0;
-    only a callable PSD runs the quadrature (-inf if it meets Phi + shift <= 0).
-    """
+def _log_integral(psd: SpectralDensity, shift: float) -> float:
+    """(1/2pi) Int log(Phi + shift), in closed form.  A Markov mixture is
+    (A + B cos) / (1 + w^2 - 2w cos), whose denominator's log integrates to 0."""
     if psd.kind == "cosine_series":
         c = np.array(psd.coefficients)
         c[0] += shift
-        return _cosine_log_integral(c), 0.0
-    if psd.kind == "markov_mixture":
-        a, b, w = psd.mixture
-        big_a = a * (1.0 - w * w) + (b + shift) * (1.0 + w * w)
-        if not big_a > 0.0:
-            return -math.inf, 0.0
-        ratio = max(-1.0, min(1.0, -2.0 * w * (b + shift) / big_a))
-        return math.log(big_a) + closed_form_log_cos_integral(ratio), 0.0
-
-    def integrand(lam):
-        vals = np.asarray(psd(lam), dtype=float) + shift
-        if not np.all((vals > 0.0) & np.isfinite(vals)):
-            raise _PsdZero
-        return np.log(vals)
-
-    try:
-        q = integrate_periodic_full(integrand)
-    except _PsdZero:
-        return -math.inf, 0.0
-    return q.value / TWO_PI, q.error_estimate / TWO_PI
+        return _cosine_log_integral(c)
+    a, b, w = psd.mixture
+    big_a = a * (1.0 - w * w) + (b + shift) * (1.0 + w * w)
+    if not big_a > 0.0:
+        return -math.inf
+    ratio = max(-1.0, min(1.0, -2.0 * w * (b + shift) / big_a))
+    return math.log(big_a) + closed_form_log_cos_integral(ratio)
 
 
 def gaussian_entropy_rate(psd: SpectralDensity) -> float:
     """Exact differential entropy rate of the Gaussian process with this PSD.
 
     1/2 log(2*pi*e) + (1/4pi) Int_0^{2pi} log Phi(lambda) d lambda (Kolmogorov-
-    Szego).  A zero of Phi is an integrable log singularity: the rate of a
-    cosine series or Markov mixture is finite unless Phi vanishes identically.
-    A callable PSD (:meth:`SpectralDensity.from_callable`) is integrated by
-    quadrature and gives -inf once a node meets Phi = 0, as 2 + 2 cos does at
-    pi; give such a PSD as :meth:`SpectralDensity.cosine_series` instead.
+    Szego), in closed form.  A zero of Phi is an integrable log singularity:
+    the rate is finite unless Phi vanishes identically.
     """
-    return 0.5 * (LOG_2PI_E + _log_integral(psd, 0.0)[0])
+    return 0.5 * (LOG_2PI_E + _log_integral(psd, 0.0))
 
 
 def gaussian_psd_bound(psd: SpectralDensity) -> BoundResult:
@@ -174,8 +143,7 @@ def gaussian_psd_bound(psd: SpectralDensity) -> BoundResult:
     1/2 log(2*pi*e) + (1/4pi) Int log(Phi(lambda) + 1/12); always finite
     because the shifted integrand is bounded below by log(1/12).
     """
-    value, error = _log_integral(psd, 1.0 / 12.0)
-    return BoundResult(value=0.5 * (LOG_2PI_E + value), quadrature_error_estimate=0.5 * error)
+    return BoundResult(value=0.5 * (LOG_2PI_E + _log_integral(psd, 1.0 / 12.0)))
 
 
 def tdist_bound_1(r0: float, r1: float) -> BoundResult:

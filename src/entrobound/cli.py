@@ -89,20 +89,26 @@ def _write_table(out_path: str, columns: list[str], rows, fmt: str):
             f.write(text)
 
 
+def _floats(tokens, source: str) -> tuple:
+    """The tokens as floats; DomainError naming source on a malformed one."""
+    try:
+        return tuple(float(tok) for tok in tokens)
+    except ValueError as exc:
+        raise DomainError(f"malformed {source}: {exc}") from exc
+
+
 def _read_covariance_file(path: str) -> spectrum.CovarianceSequence:
-    with open(path) as f:
-        payload = []
-        for line in f:
-            line = line.split("#", 1)[0].strip()
-            if line:
-                payload.append(line)
+    source = f"covariance file {path}"
+    try:
+        with open(path) as f:
+            lines = [line.split("#", 1)[0].strip() for line in f]
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"malformed {source}: {exc}") from exc
+    payload = [line for line in lines if line]
     if not payload:
         raise DomainError(f"no covariance values found in {path}")
-    try:
-        values = [float(tok) for tok in ",".join(payload).split(",") if tok.strip()]
-    except ValueError as exc:
-        raise DomainError(f"malformed covariance file {path}: {exc}") from exc
-    return spectrum.CovarianceSequence(tuple(values))
+    tokens = [tok for tok in ",".join(payload).split(",") if tok.strip()]
+    return spectrum.CovarianceSequence(_floats(tokens, source))
 
 
 # ---------------------------------------------------------------------------
@@ -195,9 +201,7 @@ def run_bound_psd(cov: spectrum.CovarianceSequence):
 
 _MODEL_BUILDERS = {
     "poisson": lambda a: processes.PoissonModel(a.rate),
-    "dma": lambda a: processes.DmaModel(
-        tuple(float(w) for w in a.weights.split(",")), a.variance
-    ),
+    "dma": lambda a: processes.DmaModel(_floats(a.weights.split(","), "--weights"), a.variance),
     "binomial-hmm": lambda a: processes.TwoStateHmm(
         a.gamma1, a.gamma2, processes.BinomialEmission(a.trials, a.p1, a.p2)
     ),

@@ -21,6 +21,7 @@ from .numerics import DomainError
 from .processes import (
     BinomialEmission,
     DmaModel,
+    PoissonEmission,
     PoissonModel,
     ProcessModel,
     QuantizedArModel,
@@ -33,6 +34,10 @@ N_BATCHES = 64
 # Longest path simulate draws: 10**8 int64 values are 800 MB before any
 # float temporaries, so longer requests raise DomainError before allocating.
 MAX_PATH_LENGTH = 10**8
+# The largest binomial trial count and Poisson mean numpy's samplers take;
+# simulate raises DomainError beyond them before drawing.
+MAX_TRIALS = np.iinfo(np.int64).max
+MAX_POISSON_MEAN = MAX_TRIALS - 10.0 * math.sqrt(MAX_TRIALS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,13 +140,21 @@ def _ar1_filter(w: np.ndarray, phi: float, x0: float) -> np.ndarray:
     return x.reshape(-1)[:n]
 
 
+def _poisson_mean(lam: float) -> float:
+    if lam > MAX_POISSON_MEAN:
+        raise DomainError(f"Poisson mean {lam!r} exceeds the sampler's limit of {MAX_POISSON_MEAN!r}")
+    return lam
+
+
 def simulate(model: ProcessModel, n: int, seed: int) -> SamplePath:
     """Draw a stationary-start path of length n, deterministic given seed.
 
     DMA innovations are Poisson(innovation_variance): integer-valued with
     exactly the requested variance (the mean offset does not enter any
     covariance).  The AR chain starts from its stationary law; MA/DMA get
-    the needed pre-samples as burn-in.  n must lie in [1, MAX_PATH_LENGTH].
+    the needed pre-samples as burn-in.  n must lie in [1, MAX_PATH_LENGTH],
+    Poisson means (rates, DMA variance) in [0, MAX_POISSON_MEAN] and binomial
+    trial counts in [1, MAX_TRIALS].
     """
     if n < 1:
         raise DomainError("path length must be >= 1")
@@ -150,15 +163,19 @@ def simulate(model: ProcessModel, n: int, seed: int) -> SamplePath:
     rng = np.random.default_rng(seed)
 
     if isinstance(model, PoissonModel):
-        values = rng.poisson(model.rate, n).astype(np.int64)
+        values = rng.poisson(_poisson_mean(model.rate), n).astype(np.int64)
     elif isinstance(model, DmaModel):
         L = model.order
-        innovations = rng.poisson(model.innovation_variance, n + L).astype(np.int64)
+        innovations = rng.poisson(_poisson_mean(model.innovation_variance), n + L).astype(np.int64)
         theta = rng.choice(L + 1, size=n, p=np.asarray(model.mixture_weights))
         values = innovations[np.arange(n) + L - theta]
     elif isinstance(model, TwoStateHmm):
-        states = _two_state_chain(rng, model.gamma1, model.gamma2, n)
         em = model.emission
+        if isinstance(em, BinomialEmission) and em.trials > MAX_TRIALS:
+            raise DomainError(f"binomial trials {em.trials} exceed the sampler's limit of {MAX_TRIALS}")
+        if isinstance(em, PoissonEmission):
+            _poisson_mean(max(em.rate1, em.rate2))
+        states = _two_state_chain(rng, model.gamma1, model.gamma2, n)
         values = np.empty(n, dtype=np.int64)
         for state in (0, 1):  # one draw per state: same law as per-sample parameters
             visits = states == state

@@ -571,18 +571,24 @@ def _lag_moment(var: float, cov: float) -> float:
     return cov - 4.0 * cov * single + cross
 
 
+# Entries kept by each quantized-moment memo: a figure row reads its model's
+# R(0) and R(1) for more than one column, and the largest default table
+# (fig2, 402 models) fits.
+_MOMENT_CACHE = 2**10
+
+
 # ---------------------------------------------------------------------------
 # quantized MA(1)
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MOMENT_CACHE)
 def qma_r0(model: QuantizedMaModel) -> float:
     """R(0) of the quantized MA process: E[Q(X_n)^2], X_n ~ N(0, sigma^2(1+theta^2))."""
     return _second_moment(model.sigma**2 * (1.0 + model.theta**2))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MOMENT_CACHE)
 def qma_r1(model: QuantizedMaModel) -> float:
     """R(1) of the quantized MA process: E[Q(X_n) Q(X_{n+1})], where X_n and
     X_{n+1} have variance sigma^2 (1 + theta^2) and covariance sigma^2 theta."""
@@ -616,7 +622,6 @@ def qma_th3_bound(model: QuantizedMaModel) -> float:
     return tdist_bound_1(r0, qma_r1(model)).value
 
 
-@lru_cache(maxsize=None)
 def qma_conditional_entropy(model: QuantizedMaModel) -> float:
     """H(Y_{n+1} | Y_n) of the quantized MA process, from the same pair as
     :func:`qma_r1`; theta = 0 gives an i.i.d. process and the marginal entropy."""
@@ -629,13 +634,13 @@ def qma_conditional_entropy(model: QuantizedMaModel) -> float:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MOMENT_CACHE)
 def qar_r0(model: QuantizedArModel) -> float:
     """R(0) of the quantized-hidden AR process."""
     return _second_moment(model.stationary_variance + model.nu**2)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MOMENT_CACHE)
 def qar_rk(model: QuantizedArModel, k: int) -> float:
     """R(k), k >= 1, of the quantized-hidden AR process: U_0 and U_k have
     variance sigma0^2 + nu^2 and covariance sigma0^2 phi^k."""
@@ -657,7 +662,6 @@ def qar_th2_bound(model: QuantizedArModel, k: int) -> BoundResult:
     return tdist_bound_k(CovarianceSequence(tuple(values)))
 
 
-@lru_cache(maxsize=None)
 def qar_conditional_entropy(model: QuantizedArModel) -> float:
     """H(Y_1 | Y_0) of the quantized-hidden AR process, from the same pair as
     :func:`qar_rk` at k = 1."""

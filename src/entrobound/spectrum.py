@@ -8,7 +8,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .numerics import MAX_POINTS, TWO_PI, DomainError, _eval_vectorized
+from .numerics import MAX_POINTS, TWO_PI, DomainError
 
 _VALIDATION_GRID = 4096
 _GRID = TWO_PI * np.arange(_VALIDATION_GRID) / _VALIDATION_GRID
@@ -16,7 +16,7 @@ _NEGATIVITY_SLACK = 1e-9
 
 
 class PsdValidationError(DomainError):
-    """A candidate spectral density is negative on the validation grid."""
+    """A candidate spectral density is negative or non-finite where it is checked."""
 
 
 def reflection_coefficients(r: Sequence[float], n: int | None = None) -> tuple[list, list]:
@@ -92,15 +92,25 @@ class CovarianceSequence:
 class SpectralDensity:
     """A power spectral density on [0, 2*pi].
 
-    Construct through :meth:`cosine_series`, :meth:`markov_mixture` or
-    :meth:`from_callable`.  Non-negativity is checked on a 4096-point grid
-    at construction; instances are immutable and shareable across threads.
+    Construct through :meth:`cosine_series` or :meth:`markov_mixture`.
+    Non-negativity is checked at construction where Phi takes its extremes:
+    for a cosine series on a 4096-point grid, for a Markov mixture at 0 and
+    pi.  Instances are immutable and shareable across threads.
     """
 
-    def __init__(self, evaluate: Callable, kind: str, grid_values=None):
+    def __init__(self, evaluate: Callable, kind: str, lam: np.ndarray, vals: np.ndarray):
+        """Check the values vals of Phi at the points lam."""
         self._evaluate = evaluate
         self.kind = kind
-        self._validate(self._evaluate(_GRID) if grid_values is None else grid_values)
+        if not np.all(np.isfinite(vals)):
+            bad = lam[~np.isfinite(vals)][0]
+            raise PsdValidationError(f"PSD is non-finite at lambda = {bad:.6f}")
+        floor = -_NEGATIVITY_SLACK * max(1.0, float(np.max(np.abs(vals))))
+        if np.min(vals) < floor:
+            bad = lam[int(np.argmin(vals))]
+            raise PsdValidationError(
+                f"PSD is negative at lambda = {bad:.6f} (value {np.min(vals):.3e})"
+            )
 
     @classmethod
     def cosine_series(cls, coefficients: Sequence[float]) -> "SpectralDensity":
@@ -118,7 +128,7 @@ class SpectralDensity:
         # of the grid size when the series is longer than the grid
         n = _VALIDATION_GRID * -(-len(c) // _VALIDATION_GRID)
         half = 2.0 * np.fft.rfft(c, n)[:: n // _VALIDATION_GRID].real - c[0]
-        psd = cls(evaluate, kind="cosine_series", grid_values=half)
+        psd = cls(evaluate, "cosine_series", _GRID[: len(half)], half)
         psd.coefficients = tuple(c)
         return psd
 
@@ -133,33 +143,10 @@ class SpectralDensity:
             denom = 1.0 + omega**2 - 2.0 * omega * np.cos(lam)
             return a * (1.0 - omega**2) / denom + b
 
-        psd = cls(evaluate, kind="markov_mixture")
+        ends = np.array([0.0, math.pi])  # Phi is monotone in cos(lambda)
+        psd = cls(evaluate, "markov_mixture", ends, evaluate(ends))
         psd.mixture = (float(a), float(b), float(omega))
         return psd
-
-    @classmethod
-    def from_callable(cls, fn: Callable[[np.ndarray], np.ndarray]) -> "SpectralDensity":
-        """A PSD from a vectorized or scalar-only callable of lambda.
-
-        Its entropy rate is integrated by quadrature, which gives -inf where
-        a node meets Phi = 0 (2 + 2 cos at lambda = pi, say), though log Phi
-        may be integrable there.  A PSD that is a cosine series belongs in
-        :meth:`cosine_series`, whose rate is exact through such zeros.
-        """
-        return cls(lambda lam: _eval_vectorized(fn, lam), kind="callable")
-
-    def _validate(self, vals):
-        """Check the values on the first len(vals) points of the grid."""
-        grid = _GRID[: len(vals)]
-        if not np.all(np.isfinite(vals)):
-            bad = grid[~np.isfinite(vals)][0]
-            raise PsdValidationError(f"PSD is non-finite at lambda = {bad:.6f}")
-        floor = -_NEGATIVITY_SLACK * max(1.0, float(np.max(np.abs(vals))))
-        if np.min(vals) < floor:
-            bad = grid[int(np.argmin(vals))]
-            raise PsdValidationError(
-                f"PSD is negative at lambda = {bad:.6f} (value {np.min(vals):.3e})"
-            )
 
     def __call__(self, lam):
         scalar = np.isscalar(lam)

@@ -211,6 +211,16 @@ class TestBoundCov:
 
 
 @pytest.mark.parametrize("command", ["bound-cov", "bound-psd"])
+def test_non_utf8_file_exit_code(tmp_path, capsys, command):
+    src = tmp_path / "cov.txt"
+    src.write_bytes(b"1.0,\xff0.5\n")
+    assert run_cli([command, "--input", str(src), "--out", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: malformed covariance file {src}: ")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["bound-cov", "bound-psd"])
 def test_not_positive_semidefinite_exit_code(tmp_path, capsys, command):
     src = tmp_path / "cov.txt"
     src.write_text("1,0.99,-0.99\n")
@@ -328,9 +338,21 @@ class TestSimulate:
         assert run_cli(["simulate", "--model", "poisson", "-n", "10000000000000", "--out", "-"]) == 2
         assert "exceeds the limit" in capsys.readouterr().err
 
-    def test_invalid_model_parameters(self, tmp_path):
-        assert run_cli(["simulate", "--model", "quantized-ar", "--phi", "1.5",
-                        "--length", "10", "--out", "-"]) == 2
+    def test_invalid_model_parameters(self, tmp_path, capsys):
+        for args in (
+            ["--model", "quantized-ar", "--phi", "1.5"],
+            ["--model", "dma", "--weights", "x,y"],
+            ["--model", "dma", "--weights", "0.5,0.5,"],
+            # beyond what numpy's Poisson and binomial samplers take
+            ["--model", "poisson", "--rate", "1e300"],
+            ["--model", "poisson-hmm", "--rate1", "1e300"],
+            ["--model", "poisson-hmm", "--rate2", "1e300"],
+            ["--model", "dma", "--variance", "1e300"],
+            ["--model", "binomial-hmm", "--trials", "10000000000000000000"],
+        ):
+            assert run_cli(["simulate", *args, "--length", "10", "--out", "-"]) == 2, args
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: ") and captured.out == "", args
 
 
 def _row_rendering(values, fmt):

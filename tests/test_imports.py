@@ -99,6 +99,19 @@ def test_no_module_imports_scipy():
             assert all(name.split(".")[0] != "scipy" for name in names), (path.name, node.lineno)
 
 
+def test_bounds_imports_no_quadrature():
+    # every spectral density the bounds take has a closed-form log integral
+    import ast
+    import pathlib
+
+    from entrobound import bounds
+
+    for node in ast.walk(ast.parse(pathlib.Path(bounds.__file__).read_text())):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name for alias in node.names]
+            assert not any(name.startswith("integrate_periodic") for name in names), node.lineno
+
+
 def test_finite_toeplitz_bound_loads_no_scipy_module(tmp_path):
     # the bound's log-determinant comes from the reflection-coefficient recursion
     code = "import entrobound as eb\neb.toeplitz_gaussian_bound_finite(eb.CovarianceSequence((1.0, 0.5)), 8)"

@@ -94,6 +94,31 @@ class TestSimulate:
         with pytest.raises(DomainError):
             simulate(PoissonModel(1.0), 0, seed=1)
 
+    @pytest.mark.parametrize(
+        "model",
+        [
+            PoissonModel(1e300),
+            DmaModel((0.5, 0.5), 1e300),
+            TwoStateHmm(0.1, 0.3, PoissonEmission(1.0, 1e300)),
+            TwoStateHmm(0.1, 0.3, BinomialEmission(10**19, 0.2, 0.8)),
+        ],
+        ids=["poisson", "dma", "poisson-hmm", "binomial-hmm"],
+    )
+    def test_sampler_limits(self, model):
+        with pytest.raises(DomainError, match="sampler's limit"):
+            simulate(model, 10, seed=1)
+
+    def test_sampler_limits_are_numpys(self):
+        from entrobound.montecarlo import MAX_POISSON_MEAN, MAX_TRIALS
+
+        assert simulate(PoissonModel(MAX_POISSON_MEAN), 3, seed=1).values.min() > 0
+        assert simulate(TwoStateHmm(0.1, 0.3, BinomialEmission(MAX_TRIALS, 0.2, 0.8)), 3, seed=1).length == 3
+        rng = np.random.default_rng(1)
+        with pytest.raises(ValueError, match="lam value too large"):
+            rng.poisson(np.nextafter(MAX_POISSON_MEAN, math.inf))
+        with pytest.raises(OverflowError):
+            rng.binomial(MAX_TRIALS + 1, 0.5)
+
     def test_length_limit_rejected_before_allocating(self):
         import tracemalloc
 

@@ -497,7 +497,7 @@ class TestConditionalEntropyMemory:
             return inner(idx, mu, sd)
 
         monkeypatch.setattr(processes, "_interval_probs", recording)
-        h = processes.qar_conditional_entropy.__wrapped__(QuantizedArModel(20.0, 0.9, 0.0))
+        h = processes.qar_conditional_entropy(QuantizedArModel(20.0, 0.9, 0.0))
         assert max(blocks) <= processes._BLOCK_ELEMENTS
         assert h == pytest.approx(qar_rectangle_conditional_entropy(20.0, 0.9, 0.0), abs=1e-9)
 
@@ -656,7 +656,7 @@ class TestConditionalEntropyAccuracy:
         for _ in range(40):
             theta = float(rng.uniform(0.0, 2.0))
             sigma = log_uniform(0.2, min(20.0, 25.0 / math.hypot(1.0, theta)))
-            h = qma_conditional_entropy.__wrapped__(QuantizedMaModel(sigma, theta))
+            h = qma_conditional_entropy(QuantizedMaModel(sigma, theta))
             gap = h - qma_rectangle_conditional_entropy(sigma, theta)
             if abs(gap) > 1e-9:
                 off[("ma", sigma, theta)] = gap
@@ -671,7 +671,7 @@ class TestConditionalEntropyAccuracy:
             if top <= 0.2:
                 continue
             sigma = log_uniform(0.2, top)
-            h = qar_conditional_entropy.__wrapped__(QuantizedArModel(sigma, phi, nu))
+            h = qar_conditional_entropy(QuantizedArModel(sigma, phi, nu))
             gap = h - qar_rectangle_conditional_entropy(sigma, phi, nu)
             if abs(gap) > 1e-9:
                 off[("ar", sigma, phi, nu)] = gap

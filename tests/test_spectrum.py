@@ -345,17 +345,20 @@ class TestSpectralDensityValidation:
         with pytest.raises(DomainError):
             SpectralDensity.markov_mixture(1.0, 0.0, 1.0)
 
-    def test_callable_form(self):
-        psd = SpectralDensity.from_callable(lambda lam: 2.0 + np.cos(lam))
-        assert psd(0.0) == pytest.approx(3.0)
-
-    def test_scalar_only_callable(self):
-        psd = SpectralDensity.from_callable(lambda lam: 2.0 + math.cos(lam))
-        assert psd(math.pi) == pytest.approx(1.0)
-
     def test_callable_returning_nan(self):
         with pytest.raises(PsdValidationError, match="non-finite"):
-            SpectralDensity.from_callable(lambda lam: np.where(lam > 3.0, np.nan, 1.0))
+            SpectralDensity.markov_mixture(math.inf, 1.0, 0.5)
+
+    @pytest.mark.parametrize("a", [0.25, -0.25])
+    @pytest.mark.parametrize("omega", [0.5, -0.5])
+    def test_markov_mixture_checked_at_its_minimum(self, a, omega):
+        # Phi is monotone in cos(lambda): its minimum lies at 0 when a*omega < 0,
+        # else at pi; |Phi| stays below 1, so the slack is 1e-9 absolute
+        lam = 0.0 if a * omega < 0 else math.pi
+        term = a * (1.0 - omega**2) / (1.0 + omega**2 - 2.0 * omega * math.cos(lam))
+        assert SpectralDensity.markov_mixture(a, -term - 0.9e-9, omega)(lam) < 0.0
+        with pytest.raises(PsdValidationError, match=f"negative at lambda = {lam:.6f}"):
+            SpectralDensity.markov_mixture(a, -term - 1.1e-9, omega)
 
     @pytest.mark.parametrize("coefficients", [[[1.0, 0.1], [0.2, 0.3]], [1.0, math.nan], [math.inf], []])
     def test_cosine_series_needs_finite_1d_coefficients(self, coefficients):
