@@ -81,7 +81,9 @@ def _cosine_log_integral(c: np.ndarray) -> float:
     the circle where Phi <= 64 eps*scale adds 0, exact for c_0 lowered that
     much.  The flip c_m -> (-1)^m c_m (Phi(pi - lambda)) keeps the integral;
     the solve takes the orientation whose first nonzero odd c_m is positive,
-    so the value keeps it bit for bit.
+    so the value keeps it bit for bit.  Degree 0 and 1 take the closed form
+    log c_0 + :func:`closed_form_log_cos_integral` (2 c_1 / c_0), the ratio
+    clamped to [-1, 1], and -inf for c_0 <= 0.
     """
     odd = c[1::2][c[1::2] != 0.0]
     if len(odd) and odd[0] < 0.0:
@@ -91,8 +93,11 @@ def _cosine_log_integral(c: np.ndarray) -> float:
     scale = np.abs(series).sum()
     kept = np.flatnonzero(np.abs(series) > _EPS * scale)
     q = kept[-1] if len(kept) else 0
-    if q == 0:
-        return math.log(c[0]) if c[0] > 0.0 else -math.inf
+    if q <= 1:  # log c_0 + (1/2pi) Int log(1 + (2 c_1 / c_0) cos), in closed form
+        if not c[0] > 0.0:
+            return -math.inf
+        ratio = max(-1.0, min(1.0, 2.0 * c[1] / c[0])) if q else 0.0
+        return math.log(c[0]) + closed_form_log_cos_integral(ratio)
     series = series[: q + 1]
     poly = np.concatenate((c[q:0:-1], c[: q + 1]))
     roots = np.roots(poly)
@@ -113,18 +118,17 @@ def _cosine_log_integral(c: np.ndarray) -> float:
 
 
 def _log_integral(psd: SpectralDensity, shift: float) -> float:
-    """(1/2pi) Int log(Phi + shift), in closed form.  A Markov mixture is
-    (A + B cos) / (1 + w^2 - 2w cos), whose denominator's log integrates to 0."""
-    if psd.kind == "cosine_series":
-        c = np.array(psd.coefficients)
-        c[0] += shift
-        return _cosine_log_integral(c)
-    a, b, w = psd.mixture
-    big_a = a * (1.0 - w * w) + (b + shift) * (1.0 + w * w)
-    if not big_a > 0.0:
-        return -math.inf
-    ratio = max(-1.0, min(1.0, -2.0 * w * (b + shift) / big_a))
-    return math.log(big_a) + closed_form_log_cos_integral(ratio)
+    """(1/2pi) Int log(Phi + shift), in closed form.  (Phi + shift) D, with the
+    Markov denominator D = |1 - w e^{i lambda}|^2 = (1 + w^2) - 2w cos(lambda),
+    is a cosine series one degree longer, and (1/2pi) Int log D = 0 for
+    |w| < 1 (Kolmogorov-Szego), so the integral is that series' one.  For a
+    cosine series (w = 0) the product is the series, with a 0 appended."""
+    c = np.array(psd.coefficients)
+    c[0] += shift
+    w = psd.omega
+    e = np.convolve(np.concatenate((c[:0:-1], c)), [-w, 1.0 + w * w, -w])[len(c) :]
+    e[0] += psd.a * (1.0 - w * w)
+    return _cosine_log_integral(e)
 
 
 def gaussian_entropy_rate(psd: SpectralDensity) -> float:

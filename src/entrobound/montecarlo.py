@@ -74,7 +74,10 @@ class EstimateWithError:
 
 def _quantize_array(x: np.ndarray) -> np.ndarray:
     # same tie rule as processes.quantize: half-integers go to the smaller integer
-    return np.ceil(x - 0.5).astype(np.int64)
+    y = np.ceil(x - 0.5)
+    if not (y.min() >= -(2.0**63) and y.max() < 2.0**63):
+        raise DomainError(f"a quantized sample lies outside the int64 range: {y.min():.6g} to {y.max():.6g}")
+    return y.astype(np.int64)
 
 
 def _two_state_chain(rng: np.random.Generator, g1: float, g2: float, n: int) -> np.ndarray:
@@ -153,6 +156,7 @@ def simulate(model: ProcessModel, n: int, seed: int) -> SamplePath:
     exactly the requested variance (the mean offset does not enter any
     covariance).  The AR chain starts from its stationary law; MA/DMA get
     the needed pre-samples as burn-in.  n must lie in [1, MAX_PATH_LENGTH],
+    the seed be a non-negative integer, every quantized sample in int64's range,
     Poisson means (rates, DMA variance) in [0, MAX_POISSON_MEAN] and binomial
     trial counts in [1, MAX_TRIALS].
     """
@@ -160,6 +164,8 @@ def simulate(model: ProcessModel, n: int, seed: int) -> SamplePath:
         raise DomainError("path length must be >= 1")
     if n > MAX_PATH_LENGTH:
         raise DomainError(f"path length {n} exceeds the limit of {MAX_PATH_LENGTH}")
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
 
     if isinstance(model, PoissonModel):

@@ -7,7 +7,7 @@ multiple threads.  All computation is in 64-bit floating point.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -42,12 +42,6 @@ class ConvergenceError(RuntimeError):
         self.estimates = tuple(estimates)
 
 
-class QuadratureResult(NamedTuple):
-    value: float
-    error_estimate: float
-    points: int
-
-
 def std_normal_cdf(t: float) -> float:
     """Standard normal CDF, evaluated through the complementary error function.
 
@@ -72,47 +66,34 @@ def converged(est: float, prev: float) -> bool:
     return diff < ABS_TOL or diff < REL_TOL * abs(est)
 
 
-def _eval_vectorized(f: Callable, x: np.ndarray) -> np.ndarray:
-    """Evaluate ``f`` on an array of nodes, accepting scalar-only callables.
-
-    A DomainError from the vectorized call propagates: the input is outside
-    the integrand's domain, and a node-by-node rerun would only repeat it.
-    """
-    try:
-        y = np.asarray(f(x), dtype=float)
-        if y.shape == x.shape:
-            return y
-    except DomainError:
-        raise
-    except (TypeError, ValueError):
-        pass
-    values = np.fromiter((float(f(xi)) for xi in x.ravel()), dtype=float, count=x.size)
-    return values.reshape(x.shape)
-
-
-def _finite_values(f: Callable, x: np.ndarray) -> np.ndarray:
-    fx = _eval_vectorized(f, x)
-    if not np.all(np.isfinite(fx)):
-        raise DomainError("integrand returned a non-finite value")
-    return fx
-
-
-def integrate_periodic_full(f: Callable) -> QuadratureResult:
+def integrate_periodic(f: Callable) -> float:
     """Integrate a continuous 2*pi-periodic function over [0, 2*pi].
 
-    Composite trapezoid rule (spectrally accurate for smooth periodic
-    integrands) with node doubling until two successive estimates differ
-    by less than ``ABS_TOL`` (relatively ``REL_TOL`` for large values).
-    Previous nodes are reused at each doubling.
+    ``f`` is vectorized: it takes an array of nodes and returns an array of
+    the same shape.  A wrong shape or a non-finite value raises DomainError,
+    and so does any DomainError of ``f``.  Composite trapezoid rule
+    (spectrally accurate for smooth periodic integrands) with node doubling,
+    reusing the previous nodes, until two successive estimates differ by
+    less than ``ABS_TOL`` (relatively ``REL_TOL`` for large values); beyond
+    ``MAX_POINTS`` nodes it raises ConvergenceError with the last two.
     """
+
+    def node_sum(x: np.ndarray) -> float:
+        fx = np.asarray(f(x), dtype=float)
+        if fx.shape != x.shape:
+            raise DomainError(f"integrand returned shape {fx.shape} for nodes of shape {x.shape}")
+        if not np.all(np.isfinite(fx)):
+            raise DomainError("integrand returned a non-finite value")
+        return float(fx.sum())
+
     n = 16
-    total = float(_finite_values(f, TWO_PI * np.arange(n) / n).sum())
+    total = node_sum(TWO_PI * np.arange(n) / n)
     est = total * TWO_PI / n
     prev = math.inf
     while n <= MAX_POINTS:
         if converged(est, prev):
-            return QuadratureResult(est, abs(est - prev), n)
-        total += float(_finite_values(f, TWO_PI * (np.arange(n) + 0.5) / n).sum())
+            return est
+        total += node_sum(TWO_PI * (np.arange(n) + 0.5) / n)
         n *= 2
         prev = est
         est = total * TWO_PI / n
@@ -120,8 +101,3 @@ def integrate_periodic_full(f: Callable) -> QuadratureResult:
         f"periodic quadrature did not converge within {MAX_POINTS} nodes",
         estimates=(prev, est),
     )
-
-
-def integrate_periodic(f: Callable) -> float:
-    """Value-only wrapper around :func:`integrate_periodic_full`."""
-    return integrate_periodic_full(f).value

@@ -132,6 +132,8 @@ class QuantizedMaModel:
             raise DomainError(f"sigma must be finite and positive: {self.sigma!r}")
         if not (math.isfinite(self.theta) and self.theta >= 0):
             raise DomainError(f"theta must be finite and non-negative: {self.theta!r}")
+        if not math.isfinite(self.sigma * self.sigma * (1.0 + self.theta * self.theta)):
+            raise DomainError(f"the variance sigma^2 (1 + theta^2) overflows: {self.sigma!r}, {self.theta!r}")
 
 
 @dataclass(frozen=True)
@@ -149,6 +151,10 @@ class QuantizedArModel:
             raise DomainError(f"stationarity requires |phi| < 1: {self.phi!r}")
         if not (math.isfinite(self.nu) and self.nu >= 0):
             raise DomainError(f"nu must be finite and non-negative: {self.nu!r}")
+        if not math.isfinite(self.sigma * self.sigma / (1.0 - self.phi * self.phi) + self.nu * self.nu):
+            raise DomainError(
+                f"the variance sigma^2 / (1 - phi^2) + nu^2 overflows: {self.sigma!r}, {self.phi!r}, {self.nu!r}"
+            )
 
     @property
     def stationary_variance(self) -> float:

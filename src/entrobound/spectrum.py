@@ -4,14 +4,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .numerics import MAX_POINTS, TWO_PI, DomainError
 
 _VALIDATION_GRID = 4096
-_GRID = TWO_PI * np.arange(_VALIDATION_GRID) / _VALIDATION_GRID
+_HALF = TWO_PI * np.arange(_VALIDATION_GRID // 2 + 1) / _VALIDATION_GRID
+_COS_HALF = np.cos(_HALF)
 _NEGATIVITY_SLACK = 1e-9
 
 
@@ -89,25 +90,45 @@ class CovarianceSequence:
         return self.values[m] if m < len(self.values) else 0.0
 
 
+@dataclass(frozen=True)
 class SpectralDensity:
-    """A power spectral density on [0, 2*pi].
+    """A power spectral density on [0, 2*pi]:
 
-    Construct through :meth:`cosine_series` or :meth:`markov_mixture`.
-    Non-negativity is checked at construction where Phi takes its extremes:
-    for a cosine series on a 4096-point grid, for a Markov mixture at 0 and
-    pi.  Instances are immutable and shareable across threads.
+        Phi(lambda) = c_0 + 2 sum_m c_m cos(m*lambda)
+                      + a (1 - w^2) / (1 + w^2 - 2w cos(lambda)),
+
+    a cosine series plus a Markov term, with ``coefficients`` (c_0, .., c_L),
+    ``a`` and ``omega`` = w, |w| < 1.  :meth:`cosine_series` sets a = w = 0,
+    where the Markov term is exactly 0; :meth:`markov_mixture` a single c_0.
+    Non-negativity and finiteness are checked at construction on the 2049
+    points of a 4096-point grid that lie in [0, pi] (Phi is even), the cosine
+    part from one real FFT.  Frozen: equal fields compare equal.
     """
 
-    def __init__(self, evaluate: Callable, kind: str, lam: np.ndarray, vals: np.ndarray):
-        """Check the values vals of Phi at the points lam."""
-        self._evaluate = evaluate
-        self.kind = kind
+    coefficients: tuple
+    a: float = 0.0
+    omega: float = 0.0
+
+    def __post_init__(self):
+        c = np.asarray(self.coefficients, dtype=float)
+        if c.ndim != 1 or len(c) == 0:
+            raise DomainError("cosine series needs a finite 1-D coefficient list")
+        if not abs(self.omega) < 1:
+            raise DomainError(f"markov mixture requires |omega| < 1, got {self.omega!r}")
+        object.__setattr__(self, "coefficients", tuple(c.tolist()))
+        object.__setattr__(self, "a", float(self.a))
+        object.__setattr__(self, "omega", float(self.omega))
+        # the series on [0, pi] from one real FFT, at a multiple of the grid
+        # size when the series is longer than the grid; an overflow is reported below
+        n = _VALIDATION_GRID * -(-len(c) // _VALIDATION_GRID)
+        with np.errstate(all="ignore"):
+            vals = 2.0 * np.fft.rfft(c, n)[:: n // _VALIDATION_GRID].real - c[0] + self._markov(_COS_HALF)
         if not np.all(np.isfinite(vals)):
-            bad = lam[~np.isfinite(vals)][0]
+            bad = _HALF[~np.isfinite(vals)][0]
             raise PsdValidationError(f"PSD is non-finite at lambda = {bad:.6f}")
         floor = -_NEGATIVITY_SLACK * max(1.0, float(np.max(np.abs(vals))))
         if np.min(vals) < floor:
-            bad = lam[int(np.argmin(vals))]
+            bad = _HALF[int(np.argmin(vals))]
             raise PsdValidationError(
                 f"PSD is negative at lambda = {bad:.6f} (value {np.min(vals):.3e})"
             )
@@ -116,41 +137,25 @@ class SpectralDensity:
     def cosine_series(cls, coefficients: Sequence[float]) -> "SpectralDensity":
         """c_0 + 2 * sum_m c_m cos(m*lambda) from coefficients [c_0, ..., c_L]."""
         c = np.asarray(coefficients, dtype=float)
-        if c.ndim != 1 or len(c) == 0 or not np.all(np.isfinite(c)):
+        if not np.all(np.isfinite(c)):
             raise DomainError("cosine series needs a finite 1-D coefficient list")
-        orders = np.arange(1, len(c))
-
-        def evaluate(lam):
-            lam = np.asarray(lam, dtype=float)
-            return c[0] + 2.0 * np.cos(np.multiply.outer(lam, orders)) @ c[1:]
-
-        # Phi is even: its values on [0, pi] from one real FFT, at a multiple
-        # of the grid size when the series is longer than the grid
-        n = _VALIDATION_GRID * -(-len(c) // _VALIDATION_GRID)
-        half = 2.0 * np.fft.rfft(c, n)[:: n // _VALIDATION_GRID].real - c[0]
-        psd = cls(evaluate, "cosine_series", _GRID[: len(half)], half)
-        psd.coefficients = tuple(c)
-        return psd
+        return cls(c)
 
     @classmethod
     def markov_mixture(cls, a: float, b: float, omega: float) -> "SpectralDensity":
         """a * (1 - omega^2) / (1 + omega^2 - 2*omega*cos(lambda)) + b."""
-        if not abs(omega) < 1:
-            raise DomainError(f"markov mixture requires |omega| < 1, got {omega!r}")
+        return cls((b,), a, omega)
 
-        def evaluate(lam):
-            lam = np.asarray(lam, dtype=float)
-            denom = 1.0 + omega**2 - 2.0 * omega * np.cos(lam)
-            return a * (1.0 - omega**2) / denom + b
-
-        ends = np.array([0.0, math.pi])  # Phi is monotone in cos(lambda)
-        psd = cls(evaluate, "markov_mixture", ends, evaluate(ends))
-        psd.mixture = (float(a), float(b), float(omega))
-        return psd
+    def _markov(self, cos_lam):
+        w = self.omega
+        return self.a * (1.0 - w**2) / (1.0 + w**2 - 2.0 * w * cos_lam)
 
     def __call__(self, lam):
         scalar = np.isscalar(lam)
-        out = self._evaluate(np.atleast_1d(np.asarray(lam, dtype=float)))
+        lam = np.atleast_1d(np.asarray(lam, dtype=float))
+        c = np.array(self.coefficients)
+        series = c[0] + 2.0 * np.cos(np.multiply.outer(lam, np.arange(1, len(c)))) @ c[1:]
+        out = series + self._markov(np.cos(lam))
         return float(out[0]) if scalar else out
 
 

@@ -18,6 +18,7 @@ from entrobound.processes import BinomialEmission, TwoStateHmm, hmm_covariance, 
 from entrobound.spectrum import (
     CovarianceSequence,
     SpectralDensity,
+    closed_form_log_cos_integral,
     psd_from_finite_covariance,
     reflection_coefficients,
 )
@@ -78,6 +79,56 @@ class TestGaussianEntropyRate:
     def test_only_a_vanishing_series_gives_minus_infinity(self):
         assert gaussian_entropy_rate(SpectralDensity.cosine_series([0.0, 0.0])) == -math.inf
         assert gaussian_entropy_rate(SpectralDensity.markov_mixture(0.0, 0.0, 0.5)) == -math.inf
+
+
+class TestDegreeOneClosedForm:
+    """c_0 + 2 c_1 cos and the Markov mixture share one closed form."""
+
+    @staticmethod
+    def exact_rate(c0: float, c1: float) -> float:
+        import mpmath
+
+        with mpmath.workdps(40):
+            c0, c1 = mpmath.mpf(c0), mpmath.mpf(c1)
+            inner = mpmath.log((c0 + mpmath.sqrt(c0 * c0 - 4 * c1 * c1)) / 2)
+            return float((mpmath.log(2 * mpmath.pi * mpmath.e) + inner) / 2)
+
+    def test_against_mpmath(self):
+        rng = np.random.default_rng(4242)
+        for i in range(400):
+            c0 = 10.0 ** rng.uniform(-4.0, 6.0)
+            u = rng.uniform(-1.0, 1.0) if i % 2 else rng.choice([-1.0, 1.0]) * (1.0 - 10.0 ** rng.uniform(-6.0, -1.0))
+            psd = SpectralDensity.cosine_series([c0, 0.5 * c0 * u])
+            assert gaussian_entropy_rate(psd) == pytest.approx(self.exact_rate(*psd.coefficients), abs=1e-12)
+
+    @staticmethod
+    def markov_log_integral(a: float, b: float, w: float, shift: float) -> float:
+        # the Markov-mixture closed form as the mixture route computed it before
+        # the mixture became a one-term cosine series times its denominator
+        big_a = a * (1.0 - w * w) + (b + shift) * (1.0 + w * w)
+        if not big_a > 0.0:
+            return -math.inf
+        ratio = max(-1.0, min(1.0, -2.0 * w * (b + shift) / big_a))
+        return math.log(big_a) + closed_form_log_cos_integral(ratio)
+
+    def test_mixture_is_bit_identical_to_the_markov_formula(self):
+        rng = np.random.default_rng(2500)
+        checked = 0
+        for i in range(3000):
+            a = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-8.0, 8.0)
+            w = rng.choice([-1.0, 1.0]) * (1.0 - 10.0 ** rng.uniform(-7.0, 0.0))
+            low = min(a * (1 - w * w) / (1 - w) ** 2, a * (1 - w * w) / (1 + w) ** 2)
+            b = -low * (1.0 + rng.choice([-1e-12, 1e-12, 1e-3, 1.0])) if i % 2 else rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-8.0, 8.0)
+            try:
+                psd = SpectralDensity.markov_mixture(a, b, w)
+            except DomainError:
+                continue
+            checked += 1
+            for shift in (0.0, 1.0 / 12.0):
+                expected = 0.5 * (LOG_2PI_E + self.markov_log_integral(a, b, w, shift))
+                got = gaussian_entropy_rate(psd) if shift == 0.0 else gaussian_psd_bound(psd).value
+                assert got == expected or (math.isnan(got) and math.isnan(expected))
+        assert checked > 1000
 
 
 class _NodeMeetsZero(Exception):

@@ -354,6 +354,28 @@ class TestSimulate:
             captured = capsys.readouterr()
             assert captured.err.startswith("error: ") and captured.out == "", args
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fig2", "--sigma", "1e300"],
+            ["fig3", "--sigma", "1e300"],
+            ["fig4", "--sigma", "1e300"],
+            ["fig4", "--nu", "1e200"],
+            ["fig2", "--sigma", "1e154", "--theta-max", "2", "--theta-step", "1"],
+            ["simulate", "--model", "quantized-ma", "--sigma", "1e19", "-n", "8", "--seed", "3"],
+            ["simulate", "--model", "quantized-ma", "--sigma", "1e300", "-n", "8"],
+            ["simulate", "--model", "quantized-ma", "--theta", "1e200", "-n", "8"],
+            ["simulate", "--model", "quantized-ar", "--nu", "1e200", "-n", "8"],
+            ["simulate", "--model", "poisson", "--seed", "-1", "-n", "5"],
+        ],
+    )
+    def test_overflow_and_negative_seed_exit_2(self, argv, capsys):
+        # an overflowing variance, a sample beyond int64 or a negative seed:
+        # one error line, where a traceback or wrapped int64 values came before
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
 
 def _row_rendering(values, fmt):
     """An integer column rendered row by row: one _fmt call or JSON record per value."""

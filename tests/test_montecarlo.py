@@ -108,6 +108,25 @@ class TestSimulate:
         with pytest.raises(DomainError, match="sampler's limit"):
             simulate(model, 10, seed=1)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(DomainError, match="seed"):
+            simulate(PoissonModel(1.0), 5, seed=seed)
+
+    def test_large_seeds(self):
+        assert simulate(PoissonModel(1.0), 5, seed=2**64).length == 5
+        assert simulate(PoissonModel(1.0), 5, seed=np.int64(7)).seed == 7
+
+    @pytest.mark.parametrize(
+        "model",
+        [QuantizedMaModel(1e19, 1.0), QuantizedArModel(1e19, 0.5, 1.0), QuantizedArModel(1.0, 0.5, 1e19)],
+        ids=["ma", "ar-sigma", "ar-nu"],
+    )
+    def test_quantized_samples_stay_in_int64(self, model):
+        # a sample beyond 2**63 would wrap to int64's minimum in the cast
+        with pytest.raises(DomainError, match="int64 range"):
+            simulate(model, 8, seed=3)
+
     def test_sampler_limits_are_numpys(self):
         from entrobound.montecarlo import MAX_POISSON_MEAN, MAX_TRIALS
 

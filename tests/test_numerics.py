@@ -8,7 +8,6 @@ from entrobound.numerics import (
     ConvergenceError,
     DomainError,
     integrate_periodic,
-    integrate_periodic_full,
     log_gamma,
     std_normal_cdf,
 )
@@ -79,9 +78,15 @@ class TestIntegratePeriodic:
         def f(lam):
             return 3.0 + np.cos(5 * lam) - 2.0 * np.cos(11 * lam) + np.sin(7 * lam)
 
-        res = integrate_periodic_full(f)
-        assert abs(res.value - 6.0 * math.pi) <= 1e-13 * 6 * math.pi
-        assert res.points <= 128
+        nodes = []
+
+        def recording(lam):
+            nodes.append(lam.size)
+            return f(lam)
+
+        value = integrate_periodic(recording)
+        assert abs(value - 6.0 * math.pi) <= 1e-13 * 6 * math.pi
+        assert sum(nodes) <= 128
 
     def test_non_convergence_diagnostics(self, monkeypatch):
         monkeypatch.setattr(numerics, "MAX_POINTS", 32)
@@ -94,6 +99,12 @@ class TestIntegratePeriodic:
         with np.errstate(invalid="ignore"):
             with pytest.raises(DomainError):
                 integrate_periodic(lambda lam: np.log(np.cos(lam)))
+
+    @pytest.mark.parametrize("f", [lambda lam: 1.0, lambda lam: float(np.sum(lam)), lambda lam: np.ones(len(lam) + 1)])
+    def test_integrand_must_keep_the_node_shape(self, f):
+        # no node-by-node rerun: a scalar-returning or misshapen integrand is rejected
+        with pytest.raises(DomainError, match="shape"):
+            integrate_periodic(f)
 
 
 class TestDomainErrorPropagates:

@@ -813,6 +813,26 @@ class TestModelValidation:
         with pytest.raises(DomainError):
             build(value)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: QuantizedMaModel(1e300, 0.0),
+            lambda: QuantizedMaModel(1.0, 1e200),
+            lambda: QuantizedMaModel(1e154, 1.0),  # sigma^2 is finite, twice it is not
+            lambda: QuantizedMaModel(1e-300, 1e300),  # sigma^2 underflows, theta^2 overflows
+            lambda: QuantizedArModel(1e300, 0.7, 4.0),
+            lambda: QuantizedArModel(1.0, 0.7, 1e200),
+            lambda: QuantizedArModel(1e154, 0.999, 0.0),
+        ],
+    )
+    def test_overflowing_variance(self, build):
+        with pytest.raises(DomainError, match="overflows"):
+            build()
+
+    def test_largest_variances_are_accepted(self):
+        QuantizedMaModel(1e154, 0.5)
+        QuantizedArModel(1e153, 0.9, 1e154)
+
     def test_emissions(self):
         with pytest.raises(DomainError):
             BinomialEmission(0, 0.5, 0.5)

@@ -176,3 +176,53 @@ def test_quantized_ar_moments_are_a_covariance(sigma, phi, nu, k):
     r0 = qar_r0(model)
     assert r0 >= 0.0
     assert abs(qar_rk(model, k)) <= r0  # Cauchy-Schwarz
+
+
+# Extreme numbers for every float option: zero, signed subnormal-scale values,
+# beyond int64 (1e19), where a square overflows (1e154 doubled, 1e200, 1e300)
+EXTREMES = ["0", "1e-300", "-1e-300", "1e19", "1e154", "1e200", "1e300", "0.5"]
+SEEDS = ["0", "5", "-1", str(-(2**63)), str(2**64 - 1), str(2**64)]
+SIMULATE_OPTIONS = {
+    "poisson": ["--rate"],
+    "dma": ["--variance"],
+    "binomial-hmm": ["--gamma1", "--gamma2", "--p1", "--p2"],
+    "poisson-hmm": ["--gamma1", "--gamma2", "--rate1", "--rate2"],
+    "quantized-ma": ["--sigma", "--theta"],
+    "quantized-ar": ["--sigma", "--phi", "--nu"],
+}
+
+
+@st.composite
+def extreme_commands(draw):
+    value = st.sampled_from(EXTREMES)
+    command = draw(st.sampled_from(["simulate", "fig2", "fig3", "fig4"]))
+    if command == "simulate":
+        model = draw(st.sampled_from(sorted(SIMULATE_OPTIONS)))
+        argv = ["simulate", "--model", model, "-n", draw(st.sampled_from(["1", "8", "0", str(2**64)]))]
+        argv.append(f"--seed={draw(st.sampled_from(SEEDS))}")
+        for option in draw(st.lists(st.sampled_from(SIMULATE_OPTIONS[model]), max_size=2, unique=True)):
+            argv.append(f"{option}={draw(value)}")  # '=' keeps argparse from reading -1e-300 as an option
+        return argv
+    if command in ("fig2", "fig3"):  # one grid point, theta = 0
+        return [command, f"--sigma={draw(value)}", "--theta-max", "0"]
+    phi = draw(value)  # one grid point
+    return ["fig4", f"--sigma={draw(value)}", f"--nu={draw(value)}", f"--phi-min={phi}", f"--phi-max={phi}", "--k", "2"]
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(extreme_commands())
+@example(["fig2", "--sigma", "1e300", "--theta-max", "0"])
+@example(["fig4", "--sigma", "1", "--nu", "1e200", "--phi-min", "0.7", "--phi-max", "0.7"])
+@example(["fig2", "--sigma", "1e154", "--theta-max", "2", "--theta-step", "1"])
+@example(["simulate", "--model", "quantized-ma", "--sigma", "1e19", "-n", "8", "--seed", "3"])
+@example(["simulate", "--model", "poisson", "-n", "5", "--seed", "-1"])
+def test_extreme_numbers_exit_cleanly(argv):
+    # 0 with output, 2 with one error line, or 3; never a traceback or a wrapped value
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 2, 3), argv
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, argv
+    if code == 0 and argv[0] == "simulate":
+        assert str(np.iinfo(np.int64).min) not in out.getvalue(), argv

@@ -364,3 +364,45 @@ class TestSpectralDensityValidation:
     def test_cosine_series_needs_finite_1d_coefficients(self, coefficients):
         with pytest.raises(DomainError, match="finite 1-D"):
             SpectralDensity.cosine_series(coefficients)
+
+    @pytest.mark.parametrize("b", [math.nan, math.inf])
+    def test_markov_mixture_with_non_finite_b(self, b):
+        with pytest.raises(PsdValidationError, match="non-finite at lambda = 0.000000"):
+            SpectralDensity.markov_mixture(1.0, b, 0.5)
+
+
+class TestSpectralDensityIsFrozen:
+    @pytest.mark.parametrize("field", ["coefficients", "a", "omega"])
+    def test_fields_cannot_be_assigned(self, field):
+        import dataclasses
+
+        psd = SpectralDensity.cosine_series([3.0, 1.0])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(psd, field, (50.0,))
+        assert psd.coefficients == (3.0, 1.0) and psd(0.0) == 5.0
+
+    def test_equal_inputs_compare_equal(self):
+        a = SpectralDensity.cosine_series([3, 1])
+        b = SpectralDensity.cosine_series(np.array([3.0, 1.0]))
+        assert a == b and hash(a) == hash(b)
+        assert a != SpectralDensity.cosine_series([3.0, 1.5])
+        m = SpectralDensity.markov_mixture(1.0, 0.5, 0.6)
+        assert m == SpectralDensity((0.5,), 1.0, 0.6) and m != SpectralDensity.markov_mixture(1.0, 0.5, 0.5)
+
+    def test_one_formula_for_both_kinds(self):
+        # a cosine series carries a Markov term of exactly 0; a mixture is c_0 = b plus it
+        lam = np.linspace(0.0, 2.0 * math.pi, 37)
+        series = SpectralDensity.cosine_series([2.0, 0.5, -0.25])
+        expected = 2.0 + 2.0 * (0.5 * np.cos(lam) - 0.25 * np.cos(2.0 * lam))
+        assert series.a == 0.0 and series.omega == 0.0
+        assert np.allclose(series(lam), expected, rtol=0, atol=1e-15)
+        a, b, w = 1.5, 0.25, -0.7
+        mixture = SpectralDensity.markov_mixture(a, b, w)
+        assert mixture.coefficients == (b,)
+        assert np.array_equal(mixture(lam), a * (1.0 - w**2) / (1.0 + w**2 - 2.0 * w * np.cos(lam)) + b)
+
+    def test_direct_construction_is_checked(self):
+        with pytest.raises(DomainError, match="omega"):
+            SpectralDensity((1.0,), 1.0, -1.0)
+        with pytest.raises(PsdValidationError, match="negative"):
+            SpectralDensity((1.0, 0.6))
