@@ -164,19 +164,11 @@ def run_fig4(sigma: float, nu: float, phi_grid: list[float], k_list: list[int]):
 
 def run_bound_cov(cov: spectrum.CovarianceSequence):
     columns = ["bound", "value", "argmin", "note"]
-    rows: list[list] = []
     r0 = cov.values[0]
+    note = "" if cov.k else "no lags supplied; univariate bound only"
+    rows = [["univariate_me", univariate_me_bound(r0), "", note]]
     if cov.k == 0:
-        rows.append(
-            [
-                "univariate_me",
-                univariate_me_bound(r0),
-                "",
-                "no lags supplied; univariate bound only",
-            ]
-        )
         return columns, rows
-    rows.append(["univariate_me", univariate_me_bound(r0), "", ""])
     b1 = tdist_bound_1(r0, cov.values[1])
     rows.append(["tdist_order_1", b1.value, " ".join(_fmt(v) for v in b1.argmin), ""])
     bk = tdist_bound_k(cov)

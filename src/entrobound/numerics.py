@@ -42,17 +42,6 @@ class ConvergenceError(RuntimeError):
         self.estimates = tuple(estimates)
 
 
-def std_normal_cdf(t: float) -> float:
-    """Standard normal CDF, evaluated through the complementary error function.
-
-    Absolute error is at the level of erfc itself (well below 1e-14);
-    saturates cleanly to 0/1 for large ``|t|``.
-    """
-    if not math.isfinite(t):
-        raise DomainError(f"std_normal_cdf requires finite t, got {t!r}")
-    return 0.5 * math.erfc(-t / SQRT2)
-
-
 def log_gamma(x: float) -> float:
     """log Gamma(x) for x > 0."""
     if not x > 0:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Union
 
 import numpy as np
@@ -540,7 +539,7 @@ def _second_moment(var: float) -> float:
         return sum((2 * j - 1) * math.erfc((j - 0.5) / (SQRT2 * scale)) for j in range(1, 5))
     e = [(-1.0) ** (k + 1) * math.exp(-_A * k * k * var) for k in range(1, _fourier_terms(var) + 1)]
     fourier = math.fsum(x / (k * k) for k, x in enumerate(e, 1)) / math.pi**2
-    return var + 1.0 / 12.0 - 4.0 * var * math.fsum(e) - fourier
+    return var + 1.0 / 12.0 - var * (4.0 * math.fsum(e)) - fourier
 
 
 def _cross_terms(var: float, c: float, n: int):
@@ -574,13 +573,7 @@ def _lag_moment(var: float, cov: float) -> float:
     n = _fourier_terms(var - abs(cov))
     single = math.fsum((-1.0) ** (k + 1) * math.exp(-_A * k * k * var) for k in range(1, n + 1))
     cross = math.copysign(math.fsum(_cross_terms(var, abs(cov), n)), cov) / (2.0 * math.pi**2)
-    return cov - 4.0 * cov * single + cross
-
-
-# Entries kept by each quantized-moment memo: a figure row reads its model's
-# R(0) and R(1) for more than one column, and the largest default table
-# (fig2, 402 models) fits.
-_MOMENT_CACHE = 2**10
+    return cov - cov * (4.0 * single) + cross
 
 
 # ---------------------------------------------------------------------------
@@ -588,13 +581,11 @@ _MOMENT_CACHE = 2**10
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=_MOMENT_CACHE)
 def qma_r0(model: QuantizedMaModel) -> float:
     """R(0) of the quantized MA process: E[Q(X_n)^2], X_n ~ N(0, sigma^2(1+theta^2))."""
     return _second_moment(model.sigma**2 * (1.0 + model.theta**2))
 
 
-@lru_cache(maxsize=_MOMENT_CACHE)
 def qma_r1(model: QuantizedMaModel) -> float:
     """R(1) of the quantized MA process: E[Q(X_n) Q(X_{n+1})], where X_n and
     X_{n+1} have variance sigma^2 (1 + theta^2) and covariance sigma^2 theta."""
@@ -640,13 +631,11 @@ def qma_conditional_entropy(model: QuantizedMaModel) -> float:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=_MOMENT_CACHE)
 def qar_r0(model: QuantizedArModel) -> float:
     """R(0) of the quantized-hidden AR process."""
     return _second_moment(model.stationary_variance + model.nu**2)
 
 
-@lru_cache(maxsize=_MOMENT_CACHE)
 def qar_rk(model: QuantizedArModel, k: int) -> float:
     """R(k), k >= 1, of the quantized-hidden AR process: U_0 and U_k have
     variance sigma0^2 + nu^2 and covariance sigma0^2 phi^k."""

@@ -126,3 +126,21 @@ def test_runtime_dependencies_are_numpy_only():
     pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
     dependencies = tomllib.loads(pyproject.read_text())["project"]["dependencies"]
     assert [re.split(r"[\s<>=!~;\[]", dep)[0] for dep in dependencies] == ["numpy"]
+
+
+def test_export_list_matches_the_imports():
+    # every exported name resolves and appears once, and every public name
+    # that __init__ imports is exported, so a deleted function leaves no stale name
+    import ast
+    import pathlib
+
+    exported = entrobound.__all__
+    assert len(set(exported)) == len(exported)
+    assert all(hasattr(entrobound, name) for name in exported)
+    imported = {
+        alias.asname or alias.name
+        for node in ast.parse(pathlib.Path(entrobound.__file__).read_text()).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert {name for name in imported if not name.startswith("_")} <= set(exported)

@@ -9,35 +9,9 @@ from entrobound.numerics import (
     DomainError,
     integrate_periodic,
     log_gamma,
-    std_normal_cdf,
 )
 
 TWO_PI = 2.0 * math.pi
-
-
-class TestStdNormalCdf:
-    def test_symmetry_point(self):
-        assert std_normal_cdf(0.0) == 0.5
-
-    def test_saturation(self):
-        assert abs(std_normal_cdf(40.0) - 1.0) <= 1e-15
-        assert std_normal_cdf(-40.0) <= 1e-15
-
-    def test_against_trapezoid_oracle(self):
-        # oracle: 1e7-node trapezoid of the standard normal density on [-12, 1]
-        x = np.linspace(-12.0, 1.0, 10**7)
-        oracle = np.trapezoid(np.exp(-0.5 * x * x) / math.sqrt(TWO_PI), x)
-        assert abs(oracle - 0.8413447460685088) < 1e-12  # frozen oracle output
-        assert abs(std_normal_cdf(1.0) - 0.8413447460685429) < 1e-14
-        assert abs(std_normal_cdf(1.0) - oracle) < 1e-12
-
-    def test_reflection_identity(self):
-        for t in np.linspace(-9, 9, 61):
-            assert abs(std_normal_cdf(t) + std_normal_cdf(-t) - 1.0) <= 1e-14
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(DomainError):
-            std_normal_cdf(math.nan)
 
 
 class TestLogGamma:

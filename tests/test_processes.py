@@ -1097,7 +1097,7 @@ class TestLagCovarianceAtLargeScale:
         # of a bare staircase, at a cost growing like sigma^2 (minutes at
         # this sigma); the Fourier sum does not see nu = 0
         start = time.perf_counter()
-        ours = qar_rk.__wrapped__(QuantizedArModel(3000.0, 0.5, 0.0), 1)
+        ours = qar_rk(QuantizedArModel(3000.0, 0.5, 0.0), 1)
         assert time.perf_counter() - start < 1.0
         var0 = 9e6 / 0.75
         assert ours == pytest.approx(float(quantized_cross_moment(var0, var0, 0.5 * var0)), rel=1e-14, abs=0.0)

@@ -216,13 +216,19 @@ def extreme_commands(draw):
 @example(["fig2", "--sigma", "1e154", "--theta-max", "2", "--theta-step", "1"])
 @example(["simulate", "--model", "quantized-ma", "--sigma", "1e19", "-n", "8", "--seed", "3"])
 @example(["simulate", "--model", "poisson", "-n", "5", "--seed", "-1"])
+@example(["fig2", "--sigma", "1e154", "--theta-max", "0"])
+@example(["fig2", "--sigma", "8.9e153", "--theta-max", "1", "--theta-step", "1"])
 def test_extreme_numbers_exit_cleanly(argv):
-    # 0 with output, 2 with one error line, or 3; never a traceback or a wrapped value
+    # 0 with finite output, 2 with one error line, or 3; never a traceback,
+    # a wrapped value or a non-finite field
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     assert code in (0, 2, 3), argv
     if code == 2:
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, argv
+    if code == 0:
+        fields = {f for line in out.getvalue().splitlines() for f in line.split(",")}
+        assert not fields & {"nan", "inf", "-inf"}, (argv, out.getvalue())
     if code == 0 and argv[0] == "simulate":
         assert str(np.iinfo(np.int64).min) not in out.getvalue(), argv
