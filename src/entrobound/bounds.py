@@ -21,10 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import ABS_TOL, MAX_POINTS, TWO_PI, ConvergenceError, DomainError
+from .numerics import (
+    ABS_TOL, LOG_2PI_E, MAX_POINTS, TWO_PI, ConvergenceError, DomainError, univariate_me_bound,
+)
 from .spectrum import CovarianceSequence, SpectralDensity, closed_form_log_cos_integral, reflection_coefficients
 
-LOG_2PI_E = math.log(2.0 * math.pi * math.e)
 
 # In _cosine_log_integral a root within _NEAR_CIRCLE of the unit circle may be
 # a zero of Phi, and a root pair beyond _EXTREME is divided out first.
@@ -54,13 +55,6 @@ class BoundResult:
     argmin: list | None = None
     optimizer_iterations: int = 0
     duality_gap: float = 0.0
-
-
-def univariate_me_bound(variance: float) -> float:
-    """1/2 log(2*pi*e*(variance + 1/12)), the single-sample bound."""
-    if not 0 <= variance < math.inf:
-        raise DomainError(f"variance must be finite and non-negative, got {variance!r}")
-    return 0.5 * math.log(2.0 * math.pi * math.e * (variance + 1.0 / 12.0))
 
 
 def _deflate(poly: np.ndarray, root) -> np.ndarray:

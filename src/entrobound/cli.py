@@ -2,7 +2,10 @@
 
 Exit codes: 0 success, 2 input validation error, 3 numerical non-convergence.
 Grid points are computed one after another in grid order, so outputs are
-deterministic and idempotent.
+deterministic and idempotent.  ``fig1`` and ``fig2`` are closed forms in
+:mod:`entrobound.models` and never load numpy; ``fig3``, ``fig4``,
+``bound-cov``, ``bound-psd`` and ``simulate`` import the numpy modules they
+use when they run.
 """
 
 from __future__ import annotations
@@ -12,18 +15,15 @@ import json
 import math
 import sys
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
-import numpy as np
+from . import models
+from .numerics import ConvergenceError, DomainError, univariate_me_bound
 
-from . import montecarlo, processes, spectrum
-from .bounds import (
-    gaussian_entropy_rate,
-    gaussian_psd_bound,
-    tdist_bound_1,
-    tdist_bound_k,
-    univariate_me_bound,
-)
-from .numerics import ConvergenceError, DomainError
+if TYPE_CHECKING:
+    import numpy as np
+
+    from . import spectrum
 
 
 def _fmt(x) -> str:
@@ -65,7 +65,7 @@ def _render_int_column(column: str, values: np.ndarray, fmt: str) -> str:
 def _write_table(out_path: str, columns: list[str], rows, fmt: str):
     """Write rows (a list of rows, or a 1-D integer array holding the one
     column) as CSV or JSON to out_path ('-' for stdout)."""
-    if isinstance(rows, np.ndarray):
+    if not isinstance(rows, list):
         text = _render_int_column(columns[0], rows, fmt)
     elif fmt == "csv":
         lines = [",".join(columns)]
@@ -98,6 +98,8 @@ def _floats(tokens, source: str) -> tuple:
 
 
 def _read_covariance_file(path: str) -> spectrum.CovarianceSequence:
+    from .spectrum import CovarianceSequence
+
     source = f"covariance file {path}"
     try:
         with open(path) as f:
@@ -108,7 +110,7 @@ def _read_covariance_file(path: str) -> spectrum.CovarianceSequence:
     if not payload:
         raise DomainError(f"no covariance values found in {path}")
     tokens = [tok for tok in ",".join(payload).split(",") if tok.strip()]
-    return spectrum.CovarianceSequence(_floats(tokens, source))
+    return CovarianceSequence(_floats(tokens, source))
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +122,8 @@ def run_fig1(lambda_grid: list[float]) -> tuple[list[str], list[list]]:
     def row(lam: float) -> list:
         if lam == 0.0:  # degenerate limit: H = 0, bound at variance 0
             return [lam, 0.0, univariate_me_bound(0.0)]
-        model = processes.PoissonModel(lam)
-        return [lam, processes.poisson_entropy(model), processes.poisson_me_bound(model)]
+        model = models.PoissonModel(lam)
+        return [lam, models.poisson_entropy(model), models.poisson_me_bound(model)]
 
     return ["lambda", "H_poisson", "ME_bound"], [row(lam) for lam in lambda_grid]
 
@@ -130,7 +132,7 @@ def run_fig2(sigma_list: list[float], theta_grid: list[float]):
     def row(theta: float) -> list:
         out = [theta]
         for sigma in sigma_list:
-            out.append(processes.qma_k_ratio(processes.QuantizedMaModel(sigma, theta)))
+            out.append(models.qma_k_ratio(models.QuantizedMaModel(sigma, theta)))
         return out
 
     columns = ["theta"] + [f"K_sigma{_fmt(s)}" for s in sigma_list]
@@ -138,6 +140,8 @@ def run_fig2(sigma_list: list[float], theta_grid: list[float]):
 
 
 def run_fig3(sigma: float, theta_grid: list[float]):
+    from . import processes
+
     def row(theta: float) -> list:
         model = processes.QuantizedMaModel(sigma, theta)
         return [
@@ -151,6 +155,8 @@ def run_fig3(sigma: float, theta_grid: list[float]):
 
 
 def run_fig4(sigma: float, nu: float, phi_grid: list[float], k_list: list[int]):
+    from . import processes
+
     def row(phi: float) -> list:
         model = processes.QuantizedArModel(sigma, phi, nu)
         out = [phi, processes.qar_conditional_entropy(model)]
@@ -163,6 +169,8 @@ def run_fig4(sigma: float, nu: float, phi_grid: list[float], k_list: list[int]):
 
 
 def run_bound_cov(cov: spectrum.CovarianceSequence):
+    from .bounds import tdist_bound_1, tdist_bound_k
+
     columns = ["bound", "value", "argmin", "note"]
     r0 = cov.values[0]
     note = "" if cov.k else "no lags supplied; univariate bound only"
@@ -179,7 +187,10 @@ def run_bound_cov(cov: spectrum.CovarianceSequence):
 
 
 def run_bound_psd(cov: spectrum.CovarianceSequence):
-    psd = spectrum.psd_from_finite_covariance(cov)
+    from .bounds import gaussian_entropy_rate, gaussian_psd_bound
+    from .spectrum import psd_from_finite_covariance
+
+    psd = psd_from_finite_covariance(cov)
     rate = gaussian_entropy_rate(psd)
     bound = gaussian_psd_bound(psd)
     note = "covariances beyond the last supplied lag are treated as zero"
@@ -192,22 +203,24 @@ def run_bound_psd(cov: spectrum.CovarianceSequence):
 
 
 _MODEL_BUILDERS = {
-    "poisson": lambda a: processes.PoissonModel(a.rate),
-    "dma": lambda a: processes.DmaModel(_floats(a.weights.split(","), "--weights"), a.variance),
-    "binomial-hmm": lambda a: processes.TwoStateHmm(
-        a.gamma1, a.gamma2, processes.BinomialEmission(a.trials, a.p1, a.p2)
+    "poisson": lambda a: models.PoissonModel(a.rate),
+    "dma": lambda a: models.DmaModel(_floats(a.weights.split(","), "--weights"), a.variance),
+    "binomial-hmm": lambda a: models.TwoStateHmm(
+        a.gamma1, a.gamma2, models.BinomialEmission(a.trials, a.p1, a.p2)
     ),
-    "poisson-hmm": lambda a: processes.TwoStateHmm(
-        a.gamma1, a.gamma2, processes.PoissonEmission(a.rate1, a.rate2)
+    "poisson-hmm": lambda a: models.TwoStateHmm(
+        a.gamma1, a.gamma2, models.PoissonEmission(a.rate1, a.rate2)
     ),
-    "quantized-ma": lambda a: processes.QuantizedMaModel(a.sigma, a.theta),
-    "quantized-ar": lambda a: processes.QuantizedArModel(a.sigma, a.phi, a.nu),
+    "quantized-ma": lambda a: models.QuantizedMaModel(a.sigma, a.theta),
+    "quantized-ar": lambda a: models.QuantizedArModel(a.sigma, a.phi, a.nu),
 }
 
 
 def run_simulate(args) -> tuple[list[str], np.ndarray]:
+    from .montecarlo import simulate
+
     model = _MODEL_BUILDERS[args.model](args)
-    path = montecarlo.simulate(model, args.length, args.seed)
+    path = simulate(model, args.length, args.seed)
     return ["value"], path.values
 
 

@@ -13,12 +13,13 @@ from entrobound.bounds import (
     tdist_bound_k,
     univariate_me_bound,
 )
-from entrobound.numerics import ConvergenceError, DomainError, integrate_periodic
+from entrobound.numerics import ConvergenceError, DomainError
 from entrobound.processes import BinomialEmission, TwoStateHmm, hmm_covariance, hmm_entropy_bound, hmm_psd
 from entrobound.spectrum import (
     CovarianceSequence,
     SpectralDensity,
     closed_form_log_cos_integral,
+    integrate_periodic,
     psd_from_finite_covariance,
     reflection_coefficients,
 )

@@ -17,16 +17,19 @@ _MAIN = (
 _SIMULATE_MODELS = ("binomial-hmm", "dma", "poisson", "poisson-hmm", "quantized-ar", "quantized-ma")
 
 
+def _child_env() -> dict:
+    return dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(entrobound.__file__)))
+
+
 def modules_after(code: str, cwd, package: str = "scipy") -> str:
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(entrobound.__file__)))
     out = subprocess.run(
         [sys.executable, "-c", f"import sys\n{code}\n{_REPORT.format(package=package)}"],
         capture_output=True,
         text=True,
-        check=True,
-        env=env,
+        env=_child_env(),
         cwd=cwd,
     )
+    assert out.returncode == 0, out.stderr
     return out.stdout.strip()
 
 
@@ -129,18 +132,100 @@ def test_runtime_dependencies_are_numpy_only():
 
 
 def test_export_list_matches_the_imports():
-    # every exported name resolves and appears once, and every public name
-    # that __init__ imports is exported, so a deleted function leaves no stale name
+    # __init__ resolves each exported name on first access from one name ->
+    # module table: the table holds exactly the export list, and each name is
+    # the object its home module defines
+    import importlib
+
+    exported = entrobound.__all__
+    assert len(set(exported)) == len(exported) == 51
+    assert set(entrobound._HOMES) == set(exported)
+    for name, home in entrobound._HOMES.items():
+        module = importlib.import_module(f"entrobound.{home}")
+        assert getattr(entrobound, name) is getattr(module, name), name
+        assert getattr(getattr(module, name), "__module__", module.__name__) == module.__name__, name
+    assert set(exported) <= set(dir(entrobound))
+    namespace: dict = {}
+    exec("from entrobound import *", namespace)
+    assert set(exported) <= set(namespace)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        entrobound.no_such_name
+
+
+# fig1 and fig2 are closed forms in plain math: neither they nor the package
+# import may load numpy, and each stays near the interpreter's own modules
+MAX_MODULES = 130
+_RUN_MODULE = (
+    "import contextlib, io, runpy\n"
+    "sys.argv = ['entrobound.cli', {command!r}]\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    try:\n"
+    "        runpy.run_module('entrobound.cli', run_name='__main__')\n"
+    "    except SystemExit as exc:\n"
+    "        assert exc.code == 0, exc.code\n"
+)
+
+
+@pytest.mark.parametrize(
+    "code",
+    ["import entrobound"]
+    + [_RUN_MODULE.format(command=c) for c in ("fig1", "fig2")]
+    + [_MAIN.format(argv=[c]) for c in ("fig1", "fig2")],
+    ids=["import", "-m fig1", "-m fig2", "main fig1", "main fig2"],
+)
+def test_closed_form_commands_load_no_numpy(code, tmp_path):
+    bounded = f"{code}\nassert len(sys.modules) <= {MAX_MODULES}, len(sys.modules)"
+    assert modules_after(bounded, tmp_path, package="numpy") == ""
+
+
+# a meta-path finder in front of the others: any numpy import fails
+_HIDE_NUMPY = """
+import runpy, sys
+
+class HideNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "numpy":
+            raise ImportError(f"{name} is hidden")
+
+sys.meta_path.insert(0, HideNumpy())
+runpy.run_module("entrobound.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def _run_cli(prefix: list, command: str, cwd):
+    return subprocess.run([sys.executable, *prefix, command], capture_output=True, env=_child_env(), cwd=cwd)
+
+
+@pytest.mark.parametrize("command", ["fig1", "fig2"])
+def test_closed_form_commands_run_without_numpy(command, tmp_path):
+    hidden = _run_cli(["-c", _HIDE_NUMPY], command, tmp_path)
+    plain = _run_cli(["-m", "entrobound.cli"], command, tmp_path)
+    assert hidden.returncode == plain.returncode == 0, hidden.stderr
+    assert hidden.stdout == plain.stdout and hidden.stderr == plain.stderr == b""
+
+
+def test_hidden_numpy_stops_a_numpy_command(tmp_path):
+    # the finder above takes effect: fig3 needs numpy and fails without it
+    hidden = _run_cli(["-c", _HIDE_NUMPY], "fig3", tmp_path)
+    assert hidden.returncode != 0 and b"numpy is hidden" in hidden.stderr
+
+
+def test_submodules_resolve_after_a_bare_import(tmp_path):
+    # the bench reads eb.processes right after import entrobound
+    code = "import entrobound\nassert entrobound.processes.__name__ == 'entrobound.processes'"
+    assert "entrobound.processes" in modules_after(code, tmp_path, package="entrobound").split(",")
+
+
+def test_imports_sit_at_module_level_outside_cli_and_init():
+    # cli and __init__ defer the numpy modules to where they are used; every
+    # other module states its dependencies at its top
     import ast
     import pathlib
 
-    exported = entrobound.__all__
-    assert len(set(exported)) == len(exported)
-    assert all(hasattr(entrobound, name) for name in exported)
-    imported = {
-        alias.asname or alias.name
-        for node in ast.parse(pathlib.Path(entrobound.__file__).read_text()).body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
-    assert {name for name in imported if not name.startswith("_")} <= set(exported)
+    for path in pathlib.Path(entrobound.__file__).parent.glob("*.py"):
+        if path.name in ("cli.py", "__init__.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                nested = [n for n in ast.walk(node) if isinstance(n, (ast.Import, ast.ImportFrom))]
+                assert not nested, (path.name, node.name)

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from entrobound import numerics
+from entrobound import numerics, spectrum
 from entrobound.numerics import (
     ConvergenceError,
     DomainError,
-    integrate_periodic,
     log_gamma,
 )
+from entrobound.spectrum import integrate_periodic
 
 TWO_PI = 2.0 * math.pi
 
@@ -63,7 +63,7 @@ class TestIntegratePeriodic:
         assert sum(nodes) <= 128
 
     def test_non_convergence_diagnostics(self, monkeypatch):
-        monkeypatch.setattr(numerics, "MAX_POINTS", 32)
+        monkeypatch.setattr(spectrum, "MAX_POINTS", 32)
         monkeypatch.setattr(numerics, "ABS_TOL", 1e-15)
         with pytest.raises(ConvergenceError) as err:
             integrate_periodic(lambda lam: np.log(2.0 + 1.99 * np.cos(lam)))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from entrobound.bounds import gaussian_psd_bound, univariate_me_bound
-from entrobound.numerics import MAX_POINTS, DomainError, integrate_periodic
+from entrobound.numerics import MAX_POINTS, DomainError
 from entrobound.spectrum import (
     CovarianceSequence,
     PsdValidationError,
@@ -12,6 +12,7 @@ from entrobound.spectrum import (
     ToeplitzSpec,
     closed_form_log_cos_integral,
     fiedler_determinant_check,
+    integrate_periodic,
     psd_from_finite_covariance,
     reflection_coefficients,
     toeplitz_gaussian_bound_finite,
