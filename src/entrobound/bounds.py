@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import (
-    ABS_TOL, LOG_2PI_E, MAX_POINTS, TWO_PI, ConvergenceError, DomainError, univariate_me_bound,
+    ABS_TOL, LOG_2PI_E, MAX_LAGS, MAX_POINTS, TWO_PI, ConvergenceError, DomainError, univariate_me_bound,
 )
 from .spectrum import CovarianceSequence, SpectralDensity, closed_form_log_cos_integral, reflection_coefficients
 
@@ -77,7 +77,7 @@ def _cosine_log_integral(c: np.ndarray) -> float:
     the solve takes the orientation whose first nonzero odd c_m is positive,
     so the value keeps it bit for bit.  Degree 0 and 1 take the closed form
     log c_0 + :func:`closed_form_log_cos_integral` (2 c_1 / c_0), the ratio
-    clamped to [-1, 1], and -inf for c_0 <= 0.
+    clamped to [-1, 1], and -inf for c_0 <= 0; a degree above MAX_LAGS raises.
     """
     odd = c[1::2][c[1::2] != 0.0]
     if len(odd) and odd[0] < 0.0:
@@ -92,6 +92,8 @@ def _cosine_log_integral(c: np.ndarray) -> float:
             return -math.inf
         ratio = max(-1.0, min(1.0, 2.0 * c[1] / c[0])) if q else 0.0
         return math.log(c[0]) + closed_form_log_cos_integral(ratio)
+    if q > MAX_LAGS:
+        raise DomainError(f"cosine series of degree {q} exceeds the limit of {MAX_LAGS} lags")
     series = series[: q + 1]
     poly = np.concatenate((c[q:0:-1], c[: q + 1]))
     roots = np.roots(poly)
@@ -177,35 +179,53 @@ def _central_path(a: np.ndarray, table: np.ndarray):
     """Primal-dual solve of min a.p - mean log Psi_p over sum_m |p_m| <= p_0.
 
     Psi_p(lambda) = p_0 + sum_m p_m cos(m*lambda), averaged over the nodes
-    of ``table``.  The variables are x = (p_0..p_k, t_1..t_k) with the
-    2k + 1 linear slacks s = (t_m - p_m, t_m + p_m, p_0 - sum_m t_m)
-    and their multipliers lam.  Mehrotra predictor-corrector steps
-    (Mehrotra, SIAM J. Optim. 2, 1992) condense t out of each Newton system
-    in closed form and move x, s and lam by one common step length.  s is
-    carried as an iterate, not recomputed from x, because t_m - p_m cancels to
-    0 near the end.  Stops when s.lam is at most _PATH_GAP.  Returns
-    (x, iterations); raises ConvergenceError with the last finite (s.lam,
-    residual) after _MAX_ITERATIONS, past _DIVERGED, or at a step that overflows.
+    of ``table``.  The state is one vector x = (p_0..p_k, t_1..t_k, s, lam)
+    with views p, t, s, lam: the 2k + 1 slacks s = (t_m - p_m, t_m + p_m,
+    p_0 - sum_m t_m) and their multipliers lam.  Mehrotra predictor-corrector
+    steps (Mehrotra, SIAM J. Optim. 2, 1992) condense t out of each Newton
+    system in closed form and write the direction into dx, laid out like x;
+    one ratio test on the (s, lam) block sets the step h of x + h*dx.  s is
+    an iterate, not recomputed from x: t_m - p_m cancels to 0 near the end.
+    Stops when s.lam <= _PATH_GAP; returns ((p, t), iterations).  Raises
+    ConvergenceError with the last finite (s.lam, residual) after
+    _MAX_ITERATIONS, past _DIVERGED, or at a step that overflows.
     """
-    k = len(a) - 1
-    n = table.shape[1]
-    p = np.eye(k + 1)[0] / a[0]
-    t = np.full(k, 1.0 / ((k + 1) * a[0]))
-    s = np.concatenate((t - p[1:], t + p[1:], [p[0] - t.sum()]))
-    lam = _MU_START / s
-    diag = np.arange(1, k + 1)
-    rose = False
-    estimates = ()
+    k, n = len(a) - 1, table.shape[1]
+    x, dx = np.zeros((2, 6 * k + 3))
+    (p, t, s, lam), (dp, dt, ds, dlam) = (np.split(v, [k + 1, 2 * k + 1, 4 * k + 2]) for v in (x, dx))
+    sx, dsx = x[2 * k + 1 :], dx[2 * k + 1 :]  # the (s, lam) block
+    p[0], t[:] = 1.0 / a[0], 1.0 / ((k + 1) * a[0])
+    s[:k], s[k:-1], s[-1] = t - p[1:], t + p[1:], p[0] - t.sum()
+    np.divide(_MU_START, s, out=lam)
+    e, buf = np.ones(k + 1), np.empty(k + 1)  # e[0] stays 1; buf is scratch laid out like p
+
+    def direction(r_c):  # writes (dp, dt, ds, dlam) into dx
+        v = r_c / s
+        b_t = v[:k] + v[k:-1] - v[-1] - r_t
+        sig_t = (b_t / d).sum()
+        buf[0], buf[1:] = v[-1], v[k:-1] - v[:k] - e[1:] * b_t
+        y = scale * (inv @ (scale * (rho * sig_t * e - r_p + buf)))
+        np.subtract(y, (e @ y) * z, out=dp)
+        np.subtract((b_t - rho * (sig_t - e @ dp)) / d, e[1:] * dp[1:], out=dt)
+        ds[:k], ds[k:-1], ds[-1] = dt - dp[1:], dt + dp[1:], dp[0] - dt.sum()
+        np.divide(r_c - lam * ds, s, out=dlam)
+
+    def max_step():  # the min of a concatenation is the min of the mins
+        low = (dsx / sx).min()
+        return math.inf if low >= 0.0 else -1.0 / low
+
+    rose, last = False, None
     try:
         for steps in range(_MAX_ITERATIONS + 1):
             # dual residuals: gradient minus constraint normals times multipliers
             w = table / (p @ table)
-            r_p = a - w.sum(axis=1) / n - np.append(lam[-1], lam[k:-1] - lam[:k])
+            buf[0], buf[1:] = lam[-1], lam[k:-1] - lam[:k]
+            r_p = a - w.sum(axis=1) / n - buf
             r_t = lam[-1] - lam[:k] - lam[k:-1]
             gap = float(s @ lam)
-            estimates = (gap, max(np.abs(r_p).max(), np.abs(r_t).max()))
+            last = gap, r_p, r_t
             if gap <= _PATH_GAP:
-                return np.concatenate((p, t)), steps
+                return x[: 2 * k + 1].copy(), steps
             if steps == _MAX_ITERATIONS or gap > _DIVERGED * _MU_START * len(s):
                 break
             # Newton system condensed onto p: with q = lam/s, eliminating t leaves
@@ -214,41 +234,28 @@ def _central_path(a: np.ndarray, table: np.ndarray):
             q = lam / s
             q1, q2, q3 = q[:k], q[k:-1], q[-1]
             d = q1 + q2
-            e = np.concatenate(([1.0], (q2 - q1) / d))
+            np.divide(q2 - q1, d, out=e[1:])
             rho = 1.0 / (1.0 / q3 + (1.0 / d).sum())
             hess = (w @ w.T) / n
-            hess[diag, diag] += 4.0 * q1 * q2 / d
+            hess.reshape(-1)[k + 2 :: k + 2] += 4.0 * q1 * q2 / d  # (m, m) for m = 1..k
             scale = 1.0 / np.sqrt(hess.diagonal())
             inv = np.linalg.inv(hess * scale * scale[:, None])
             z = scale * (inv @ (scale * e))
             z *= rho / (1.0 + rho * (e @ z))
-
-            def direction(r_c):
-                v = r_c / s
-                b_t = v[:k] + v[k:-1] - v[-1] - r_t
-                sig_t = (b_t / d).sum()
-                rhs = rho * sig_t * e - r_p + np.append(v[-1], v[k:-1] - v[:k] - e[1:] * b_t)
-                y = scale * (inv @ (scale * rhs))
-                dp = y - (e @ y) * z
-                dt = (b_t - rho * (sig_t - e @ dp)) / d - e[1:] * dp[1:]
-                ds = np.concatenate((dt - dp[1:], dt + dp[1:], [dp[0] - dt.sum()]))
-                return dp, dt, ds, (r_c - lam * ds) / s
-
-            def max_step(ds, dlam):
-                low = min((ds / s).min(), (dlam / lam).min())
-                return math.inf if low >= 0.0 else -1.0 / low
-
-            _, _, ds, dlam = direction(-s * lam)
-            h = min(1.0, max_step(ds, dlam))
-            sigma = (((s + h * ds) @ (lam + h * dlam)) / gap) ** 3
+            s_lam = s * lam
+            direction(-s_lam)
+            h = min(1.0, max_step())
+            ahead = sx + h * dsx
+            sigma = ((ahead[: 2 * k + 1] @ ahead[2 * k + 1 :]) / gap) ** 3
             if rose:
                 sigma = max(sigma, _SIGMA_FLOOR)
-            dp, dt, ds2, dlam2 = direction(sigma * gap / len(s) - s * lam - ds * dlam)
-            h = min(1.0, _STEP_FRACTION * max_step(ds2, dlam2))
-            p, t, s, lam = p + h * dp, t + h * dt, s + h * ds2, lam + h * dlam2
+            direction(sigma * gap / len(s) - s_lam - ds * dlam)
+            h = min(1.0, _STEP_FRACTION * max_step())
+            x += h * dx
             rose = float(s @ lam) > gap
     except FloatingPointError:  # a step overflowed: stop at the last finite iterate
         pass
+    estimates = () if last is None else (last[0], max(np.abs(last[1]).max(), np.abs(last[2]).max()))
     raise ConvergenceError(
         f"order-k primal-dual solve stalled after {steps} iterations",
         estimates=estimates,

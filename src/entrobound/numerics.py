@@ -24,6 +24,11 @@ MAX_POINTS = 2**21
 ABS_TOL = 1e-9
 REL_TOL = 1e-13
 
+# Most lags a CovarianceSequence carries, and the highest cosine degree whose
+# log-integral ``bounds`` takes: half the first 256-node table of the order-k
+# solve, where its cosines start to alias.  Checked before any O(k^2) work.
+MAX_LAGS = 128
+
 
 class DomainError(ValueError):
     """Input outside the mathematical domain of an operation."""

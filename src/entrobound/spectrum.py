@@ -8,7 +8,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .numerics import MAX_POINTS, TWO_PI, ConvergenceError, DomainError, converged
+from .numerics import MAX_LAGS, MAX_POINTS, TWO_PI, ConvergenceError, DomainError, converged
 
 _VALIDATION_GRID = 4096
 _HALF = TWO_PI * np.arange(_VALIDATION_GRID // 2 + 1) / _VALIDATION_GRID
@@ -63,6 +63,8 @@ class CovarianceSequence:
         object.__setattr__(self, "values", vals)
         if len(vals) == 0:
             raise DomainError("covariance sequence needs at least R(0)")
+        if len(vals) > MAX_LAGS + 1:
+            raise DomainError(f"{len(vals) - 1} lags exceed the limit of {MAX_LAGS}")
         if not all(math.isfinite(v) for v in vals):
             raise DomainError("covariances must be finite")
         r0 = vals[0]

@@ -252,6 +252,20 @@ class TestGaussianBoundK:
         assert gaussian_bound_k(CovarianceSequence((r0, r1))).value == pytest.approx(expected, abs=1e-15)
 
 
+def test_cosine_series_over_the_lag_limit():
+    # a cosine series longer than MAX_LAGS is rejected before the root solve;
+    # one at the limit is solved
+    from entrobound.numerics import MAX_LAGS
+
+    at_limit = SpectralDensity.cosine_series([1.0] + [1e-3] * MAX_LAGS)
+    assert math.isfinite(gaussian_psd_bound(at_limit).value)
+    over = SpectralDensity.cosine_series([1.0] + [1e-3] * (MAX_LAGS + 1))
+    with pytest.raises(DomainError, match=f"degree {MAX_LAGS + 1} exceeds the limit of {MAX_LAGS}"):
+        gaussian_psd_bound(over)
+    with pytest.raises(DomainError, match="exceeds the limit"):
+        gaussian_entropy_rate(over)
+
+
 class TestGaussianPsdBound:
     def test_flat_collapses_to_univariate(self):
         res = gaussian_psd_bound(SpectralDensity.cosine_series([1.5]))
@@ -633,6 +647,67 @@ class TestPrimalDualSolve:
         assert -1e-12 <= res.duality_gap <= 1e-12
         assert res.value <= tdist_bound_1(values[0], values[1]).value
         assert res.value <= univariate_me_bound(values[0])
+
+    def test_capped_level_moves_on(self, monkeypatch):
+        # capped at 3 iterations on the first node table, the solve reports
+        # the cap with the last (s.lam, residual), and the doubling counts the
+        # capped level and certifies the input on the next one
+        import entrobound.bounds as bounds
+
+        values = HARD_BOUNDARY_CASES[0]
+        a = np.asarray(values) + np.eye(len(values))[0] / 12.0
+        table = bounds._cosine_table(len(values) - 1, 256)
+        cap = bounds._MAX_ITERATIONS
+        monkeypatch.setattr(bounds, "_MAX_ITERATIONS", 3)
+        with pytest.raises(ConvergenceError, match="after 3 iterations") as capped:
+            bounds._central_path(a, table)
+        assert len(capped.value.estimates) == 2
+        assert np.isfinite(capped.value.estimates).all()
+        assert capped.value.estimates[0] > bounds._PATH_GAP
+
+        monkeypatch.setattr(bounds, "_MAX_ITERATIONS", cap)
+        _, uncapped = bounds._central_path(a, bounds._cosine_table(len(values) - 1, 512))
+        inner, levels = bounds._central_path, []
+
+        # the cap is lifted only when the next level starts, so tdist_bound_k
+        # counts the capped level as 3 iterations
+        def capped_first(a, table):
+            levels.append(table.shape[1])
+            monkeypatch.setattr(bounds, "_MAX_ITERATIONS", 3 if len(levels) == 1 else cap)
+            return inner(a, table)
+
+        monkeypatch.setattr(bounds, "_central_path", capped_first)
+        res = tdist_bound_k(CovarianceSequence(values))
+        assert levels == [256, 512]
+        assert res.optimizer_iterations == 3 + uncapped
+        assert -1e-12 <= res.duality_gap <= 1e-12
+
+    def test_returned_iterate_is_feasible(self):
+        # x = (p, t) from the flat primal-dual state: p_0 > 0, |p_m| <= t_m and
+        # sum t_m <= p_0, to 1e-12 of p_0, on 200 seeded boundary inputs;
+        # a wrong slice of the state breaks these whatever the rounding
+        import entrobound.bounds as bounds
+
+        rng = np.random.default_rng(28)
+        checked = 0
+        while checked < 200:
+            cov = random_ma_covariance(rng, lags=int(rng.integers(2, 9)))
+            k = cov.k
+            a, poly, _ = bounds._burg(cov)
+            c = np.correlate(poly, poly, "full")[k:]
+            if np.abs(2.0 * c[1:] / c[0]).sum() <= 1.0:
+                continue  # Burg's beta is inside the region: no solve
+            table = bounds._cosine_table(k, 256)
+            x, steps = bounds._central_path(a, table)
+            again, steps_again = bounds._central_path(a, table)
+            assert np.array_equal(x, again) and steps == steps_again
+            assert x.shape == (2 * k + 1,)
+            assert steps <= bounds._MAX_ITERATIONS
+            p, t = x[: k + 1], x[k + 1 :]
+            assert p[0] > 0.0
+            assert np.all(np.abs(p[1:]) - t <= 1e-12 * p[0])
+            assert t.sum() - p[0] <= 1e-12 * p[0]
+            checked += 1
 
     def test_order4_step_count(self):
         # the barrier path this solve replaced took about 44 Newton steps

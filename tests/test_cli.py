@@ -230,6 +230,18 @@ def test_not_positive_semidefinite_exit_code(tmp_path, capsys, command):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["bound-cov", "bound-psd"])
+def test_lag_limit_exit_code(tmp_path, capsys, command):
+    from entrobound.numerics import MAX_LAGS
+
+    src = tmp_path / "cov.txt"
+    src.write_text(",".join(["1.0"] + ["0.001"] * (MAX_LAGS + 1)) + "\n")
+    assert run_cli([command, "--input", str(src), "--out", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {MAX_LAGS + 1} lags exceed the limit of {MAX_LAGS}\n"
+    assert captured.out == ""
+
+
 class TestBoundPsd:
     def test_bound_and_rate(self, tmp_path):
         src = tmp_path / "cov.txt"

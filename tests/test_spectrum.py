@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from entrobound.bounds import gaussian_psd_bound, univariate_me_bound
-from entrobound.numerics import MAX_POINTS, DomainError
+from entrobound.numerics import MAX_LAGS, MAX_POINTS, DomainError
 from entrobound.spectrum import (
     CovarianceSequence,
     PsdValidationError,
@@ -55,6 +55,14 @@ class TestCovarianceSequence:
         # X_n = X_0 and X_n = (-1)^n X_0 have singular Toeplitz matrices
         CovarianceSequence((1.0, 1.0, 1.0, 1.0))
         CovarianceSequence((2.0, -2.0, 2.0))
+
+    def test_lag_limit(self):
+        assert CovarianceSequence((1.0,) + (1e-3,) * MAX_LAGS).k == MAX_LAGS
+        # rejected before the validation's O(k^2) recursion, whatever the values
+        with pytest.raises(DomainError, match=f"{MAX_LAGS + 1} lags exceed the limit of {MAX_LAGS}"):
+            CovarianceSequence((1.0,) + (1e-3,) * (MAX_LAGS + 1))
+        with pytest.raises(DomainError, match=f"limit of {MAX_LAGS}"):
+            CovarianceSequence((1.0,) * 10**6)
 
 
 class TestPsdFromFiniteCovariance:
