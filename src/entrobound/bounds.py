@@ -22,9 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import (
-    ABS_TOL, LOG_2PI_E, MAX_LAGS, MAX_POINTS, TWO_PI, ConvergenceError, DomainError, univariate_me_bound,
+    ABS_TOL, LOG_2PI_E, MAX_POINTS, TWO_PI, ConvergenceError, DomainError, univariate_me_bound,
 )
-from .spectrum import CovarianceSequence, SpectralDensity, closed_form_log_cos_integral, reflection_coefficients
+from .spectrum import CovarianceSequence, SpectralDensity, closed_form_log_cos_integral, cosine_degree
+from .spectrum import reflection_coefficients
 
 
 # In _cosine_log_integral a root within _NEAR_CIRCLE of the unit circle may be
@@ -68,33 +69,27 @@ def _deflate(poly: np.ndarray, root) -> np.ndarray:
 def _cosine_log_integral(c: np.ndarray) -> float:
     """(1/2pi) Int log Phi for Phi(lambda) = c_0 + 2 sum_m c_m cos(m*lambda) >= 0.
 
-    Jensen's formula on the palindromic z^q Phi(z), z = e^{i lambda}: log|c_q|
-    plus log|r| over its roots outside the unit circle.  Terms below eps*scale,
-    scale = |c_0| + 2 sum|c_m|, are dropped.  A zero of Phi on the circle is a
-    multiple root, resolved to about eps^(1/m): a root within _NEAR_CIRCLE of
-    the circle where Phi <= 64 eps*scale adds 0, exact for c_0 lowered that
-    much.  The flip c_m -> (-1)^m c_m (Phi(pi - lambda)) keeps the integral;
-    the solve takes the orientation whose first nonzero odd c_m is positive,
-    so the value keeps it bit for bit.  Degree 0 and 1 take the closed form
-    log c_0 + :func:`closed_form_log_cos_integral` (2 c_1 / c_0), the ratio
-    clamped to [-1, 1], and -inf for c_0 <= 0; a degree above MAX_LAGS raises.
+    Jensen's formula on the palindromic z^q Phi(z), z = e^{i lambda}: log|c_q| plus
+    log|r| over its roots outside the unit circle, once ``cosine_degree`` drops the
+    terms below eps*scale.  A zero of Phi on the circle is a multiple root, resolved
+    to about eps^(1/m): a root within _NEAR_CIRCLE of the circle where Phi <= 64
+    eps*scale adds 0, exact for c_0 lowered that much.  The flip c_m -> (-1)^m c_m
+    (Phi(pi - lambda)) keeps the integral; the solve takes the orientation whose
+    first nonzero odd c_m is positive, so the value keeps it bit for bit.  Degree 0
+    and 1 take the closed form log c_0 + :func:`closed_form_log_cos_integral`
+    (2 c_1 / c_0), the ratio clamped to [-1, 1], and -inf for c_0 <= 0.
     """
     odd = c[1::2][c[1::2] != 0.0]
     if len(odd) and odd[0] < 0.0:
         c = c * (-1.0) ** np.arange(len(c))
-    series = 2.0 * c
-    series[0] = c[0]
-    scale = np.abs(series).sum()
-    kept = np.flatnonzero(np.abs(series) > _EPS * scale)
-    q = kept[-1] if len(kept) else 0
+    q, scale = cosine_degree(c)
     if q <= 1:  # log c_0 + (1/2pi) Int log(1 + (2 c_1 / c_0) cos), in closed form
         if not c[0] > 0.0:
             return -math.inf
         ratio = max(-1.0, min(1.0, 2.0 * c[1] / c[0])) if q else 0.0
         return math.log(c[0]) + closed_form_log_cos_integral(ratio)
-    if q > MAX_LAGS:
-        raise DomainError(f"cosine series of degree {q} exceeds the limit of {MAX_LAGS} lags")
-    series = series[: q + 1]
+    series = 2.0 * c[: q + 1]
+    series[0] = c[0]
     poly = np.concatenate((c[q:0:-1], c[: q + 1]))
     roots = np.roots(poly)
     big = roots[np.abs(roots) > _EXTREME]
@@ -113,20 +108,6 @@ def _cosine_log_integral(c: np.ndarray) -> float:
     return math.log(abs(c[q])) + float(logs.sum())
 
 
-def _log_integral(psd: SpectralDensity, shift: float) -> float:
-    """(1/2pi) Int log(Phi + shift), in closed form.  (Phi + shift) D, with the
-    Markov denominator D = |1 - w e^{i lambda}|^2 = (1 + w^2) - 2w cos(lambda),
-    is a cosine series one degree longer, and (1/2pi) Int log D = 0 for
-    |w| < 1 (Kolmogorov-Szego), so the integral is that series' one.  For a
-    cosine series (w = 0) the product is the series, with a 0 appended."""
-    c = np.array(psd.coefficients)
-    c[0] += shift
-    w = psd.omega
-    e = np.convolve(np.concatenate((c[:0:-1], c)), [-w, 1.0 + w * w, -w])[len(c) :]
-    e[0] += psd.a * (1.0 - w * w)
-    return _cosine_log_integral(e)
-
-
 def gaussian_entropy_rate(psd: SpectralDensity) -> float:
     """Exact differential entropy rate of the Gaussian process with this PSD.
 
@@ -134,7 +115,7 @@ def gaussian_entropy_rate(psd: SpectralDensity) -> float:
     Szego), in closed form.  A zero of Phi is an integrable log singularity:
     the rate is finite unless Phi vanishes identically.
     """
-    return 0.5 * (LOG_2PI_E + _log_integral(psd, 0.0))
+    return 0.5 * (LOG_2PI_E + _cosine_log_integral(psd.product_series(0.0)))
 
 
 def gaussian_psd_bound(psd: SpectralDensity) -> BoundResult:
@@ -143,7 +124,7 @@ def gaussian_psd_bound(psd: SpectralDensity) -> BoundResult:
     1/2 log(2*pi*e) + (1/4pi) Int log(Phi(lambda) + 1/12); always finite
     because the shifted integrand is bounded below by log(1/12).
     """
-    return BoundResult(value=0.5 * (LOG_2PI_E + _log_integral(psd, 1.0 / 12.0)))
+    return BoundResult(value=0.5 * (LOG_2PI_E + _cosine_log_integral(psd.product_series(1.0 / 12.0))))
 
 
 def tdist_bound_1(r0: float, r1: float) -> BoundResult:
@@ -187,8 +168,8 @@ def _central_path(a: np.ndarray, table: np.ndarray):
     one ratio test on the (s, lam) block sets the step h of x + h*dx.  s is
     an iterate, not recomputed from x: t_m - p_m cancels to 0 near the end.
     Stops when s.lam <= _PATH_GAP; returns ((p, t), iterations).  Raises
-    ConvergenceError with the last finite (s.lam, residual) after
-    _MAX_ITERATIONS, past _DIVERGED, or at a step that overflows.
+    ConvergenceError with the last finite (s.lam, residual) and the iterations
+    run after _MAX_ITERATIONS, past _DIVERGED, or at a step that overflows.
     """
     k, n = len(a) - 1, table.shape[1]
     x, dx = np.zeros((2, 6 * k + 3))
@@ -256,10 +237,8 @@ def _central_path(a: np.ndarray, table: np.ndarray):
     except FloatingPointError:  # a step overflowed: stop at the last finite iterate
         pass
     estimates = () if last is None else (last[0], max(np.abs(last[1]).max(), np.abs(last[2]).max()))
-    raise ConvergenceError(
-        f"order-k primal-dual solve stalled after {steps} iterations",
-        estimates=estimates,
-    )
+    message = f"order-k primal-dual solve stalled after {steps} iterations"
+    raise ConvergenceError(message, estimates=estimates, iterations=steps)
 
 
 def _dual_bound(a: np.ndarray, beta: np.ndarray, table: np.ndarray) -> float:
@@ -341,8 +320,8 @@ def tdist_bound_k(cov: CovarianceSequence) -> BoundResult:
         table = _cosine_table(k, 2**level)
         try:
             x, used = _central_path(a, table)
-        except ConvergenceError:  # a stalled level: try the next one
-            steps += _MAX_ITERATIONS
+        except ConvergenceError as stalled:  # try the next level
+            steps += stalled.iterations
             continue
         steps += used
         # the path stops just inside the region: scale beta onto its boundary,

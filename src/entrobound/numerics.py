@@ -24,9 +24,9 @@ MAX_POINTS = 2**21
 ABS_TOL = 1e-9
 REL_TOL = 1e-13
 
-# Most lags a CovarianceSequence carries, and the highest cosine degree whose
-# log-integral ``bounds`` takes: half the first 256-node table of the order-k
-# solve, where its cosines start to alias.  Checked before any O(k^2) work.
+# Most lags a CovarianceSequence carries, and the highest degree of a
+# SpectralDensity's product series: half the first 256-node table of the
+# order-k solve, where its cosines alias.  Checked before any O(k^2) work.
 MAX_LAGS = 128
 
 
@@ -37,12 +37,13 @@ class DomainError(ValueError):
 class ConvergenceError(RuntimeError):
     """An iterative scheme failed to reach its tolerance.
 
-    ``estimates`` holds the last two successive estimates, for diagnostics.
+    ``estimates`` holds the last two estimates and ``iterations`` the steps run.
     """
 
-    def __init__(self, message: str, estimates: tuple = ()):
+    def __init__(self, message: str, estimates: tuple = (), iterations: int = 0):
         super().__init__(message)
         self.estimates = tuple(estimates)
+        self.iterations = iterations
 
 
 def log_gamma(x: float) -> float:

@@ -10,14 +10,20 @@ import numpy as np
 
 from .numerics import MAX_LAGS, MAX_POINTS, TWO_PI, ConvergenceError, DomainError, converged
 
-_VALIDATION_GRID = 4096
-_HALF = TWO_PI * np.arange(_VALIDATION_GRID // 2 + 1) / _VALIDATION_GRID
-_COS_HALF = np.cos(_HALF)
 _NEGATIVITY_SLACK = 1e-9
 
 
 class PsdValidationError(DomainError):
-    """A candidate spectral density is negative or non-finite where it is checked."""
+    """A candidate spectral density is negative, non-finite or too large where it is checked."""
+
+
+def cosine_degree(c: np.ndarray) -> tuple[int, float]:
+    """Degree and scale |c_0| + 2 sum|c_m| of a cosine series, its tail below eps*scale dropped."""
+    size = 2.0 * np.abs(c)
+    size[0] = abs(c[0])
+    scale = float(size.sum())
+    kept = np.flatnonzero(size > np.finfo(float).eps * scale)
+    return (int(kept[-1]) if len(kept) else 0), scale
 
 
 def reflection_coefficients(r: Sequence[float], n: int | None = None) -> tuple[list, list]:
@@ -102,9 +108,11 @@ class SpectralDensity:
     a cosine series plus a Markov term, with ``coefficients`` (c_0, .., c_L),
     ``a`` and ``omega`` = w, |w| < 1.  :meth:`cosine_series` sets a = w = 0,
     where the Markov term is exactly 0; :meth:`markov_mixture` a single c_0.
-    Non-negativity and finiteness are checked at construction on the 2049
-    points of a 4096-point grid that lie in [0, pi] (Phi is even), the cosine
-    part from one real FFT.  Frozen: equal fields compare equal.
+    Frozen: equal fields compare equal.  Construction checks Phi >= 0 (up to
+    1e-9 max(1, max|Phi|)) and finiteness at 0, pi and the stationary points
+    of e = Phi D (:meth:`product_series`), which has Phi's sign and, for a
+    series or a mixture, its extremes: the roots of sum_m m e_m U_{m-1}(x),
+    x = cos(lambda), from a comrade matrix.  A degree above MAX_LAGS raises first.
     """
 
     coefficients: tuple
@@ -120,20 +128,24 @@ class SpectralDensity:
         object.__setattr__(self, "coefficients", tuple(c.tolist()))
         object.__setattr__(self, "a", float(self.a))
         object.__setattr__(self, "omega", float(self.omega))
-        # the series on [0, pi] from one real FFT, at a multiple of the grid
-        # size when the series is longer than the grid; an overflow is reported below
-        n = _VALIDATION_GRID * -(-len(c) // _VALIDATION_GRID)
-        with np.errstate(all="ignore"):
-            vals = 2.0 * np.fft.rfft(c, n)[:: n // _VALIDATION_GRID].real - c[0] + self._markov(_COS_HALF)
-        if not np.all(np.isfinite(vals)):
-            bad = _HALF[~np.isfinite(vals)][0]
-            raise PsdValidationError(f"PSD is non-finite at lambda = {bad:.6f}")
-        floor = -_NEGATIVITY_SLACK * max(1.0, float(np.max(np.abs(vals))))
-        if np.min(vals) < floor:
-            bad = _HALF[int(np.argmin(vals))]
-            raise PsdValidationError(
-                f"PSD is negative at lambda = {bad:.6f} (value {np.min(vals):.3e})"
-            )
+        with np.errstate(all="ignore"):  # an overflow is reported below
+            e = self.product_series(0.0)
+            q, scale = cosine_degree(e)
+            if q > MAX_LAGS:
+                raise DomainError(f"cosine series of degree {q} exceeds the limit of {MAX_LAGS} lags")
+            lam = np.array([0.0, math.pi])
+            if q > 1 and math.isfinite(scale):
+                comrade = 0.5 * (np.eye(q - 1, k=1) + np.eye(q - 1, k=-1))
+                comrade[-1] -= np.arange(1, q) / (2 * q) * (e[1:q] / e[q])
+                lam = np.concatenate((lam, np.arccos(np.linalg.eigvals(comrade).real.clip(-1.0, 1.0))))
+            vals = self(lam)
+        if not np.isfinite(vals).all():
+            raise PsdValidationError(f"PSD is non-finite at lambda = {lam[~np.isfinite(vals)][0]:.6f}")
+        if not math.isfinite(scale):
+            raise PsdValidationError(f"PSD is too large to check: |e_0| + 2 sum|e_m| = {scale}")
+        low = int(np.argmin(vals))
+        if vals[low] < -_NEGATIVITY_SLACK * max(1.0, float(np.abs(vals).max())):
+            raise PsdValidationError(f"PSD is negative at lambda = {lam[low]:.6f} (value {vals[low]:.3e})")
 
     @classmethod
     def cosine_series(cls, coefficients: Sequence[float]) -> "SpectralDensity":
@@ -148,16 +160,24 @@ class SpectralDensity:
         """a * (1 - omega^2) / (1 + omega^2 - 2*omega*cos(lambda)) + b."""
         return cls((b,), a, omega)
 
-    def _markov(self, cos_lam):
+    def product_series(self, shift: float) -> np.ndarray:
+        """(Phi + shift) D, D = |1 - w e^{i lambda}|^2, as a cosine series one degree
+        longer: c + shift e_0 convolved with (-w, 1 + w^2, -w), plus a (1 - w^2) on e_0.
+        Its log-integral is Phi + shift's: (1/2pi) Int log D = 0 for |w| < 1 (Kolmogorov-Szego)."""
+        c = np.array(self.coefficients)
+        c[0] += shift
         w = self.omega
-        return self.a * (1.0 - w**2) / (1.0 + w**2 - 2.0 * w * cos_lam)
+        e = np.convolve(np.concatenate((c[:0:-1], c)), [-w, 1.0 + w * w, -w])[len(c) :]
+        e[0] += self.a * (1.0 - w * w)
+        return e
 
     def __call__(self, lam):
         scalar = np.isscalar(lam)
         lam = np.atleast_1d(np.asarray(lam, dtype=float))
         c = np.array(self.coefficients)
         series = c[0] + 2.0 * np.cos(np.multiply.outer(lam, np.arange(1, len(c)))) @ c[1:]
-        out = series + self._markov(np.cos(lam))
+        w = self.omega
+        out = series + self.a * (1.0 - w**2) / (1.0 + w**2 - 2.0 * w * np.cos(lam))
         return float(out[0]) if scalar else out
 
 

@@ -29,6 +29,21 @@ def random_ma_covariance(rng: np.random.Generator, max_lags: int = 4, lags: int 
     return CovarianceSequence(tuple(values))
 
 
+# midway between two nodes of a 4096-point grid on [0, 2*pi)
+DIP_AT = 500.5 * math.pi / 2048
+
+
+def fejer_dip(q: int) -> np.ndarray:
+    """c_0..c_q of Phi(lambda) = A - F(lambda - DIP_AT) - F(lambda + DIP_AT),
+    F(x) = 1 + 2 sum_{m <= q} (1 - m/(q + 1)) cos(m x) the Fejer kernel, with
+    A set so that Phi(DIP_AT) = -0.04: a PSD no process has, although the
+    Toeplitz matrix of c_0..c_q is positive semidefinite."""
+    m = np.arange(1, q + 1)
+    weights = 1.0 - m / (q + 1)
+    level = -0.04 + (q + 1) + 1.0 + 2.0 * np.cos(2.0 * m * DIP_AT) @ weights
+    return np.concatenate(([level - 2.0], -2.0 * weights * np.cos(m * DIP_AT)))
+
+
 def banded_cholesky_bound(values, n: int) -> float:
     """1/2 log(2*pi*e) + log det(K + I/12) / (2n) through scipy's banded Cholesky
     factorization, O(n * k^2): the reference for

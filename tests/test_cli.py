@@ -242,6 +242,21 @@ def test_lag_limit_exit_code(tmp_path, capsys, command):
     assert captured.out == ""
 
 
+def test_fejer_dip_exit_codes(tmp_path, capsys):
+    # a Phi = -0.04 dip between the nodes of the old 4096-point grid, which
+    # bound-psd accepted: no process has that PSD, but the Toeplitz matrix of
+    # R(0..128) is positive semidefinite, so bound-cov may accept it
+    from conftest import fejer_dip
+
+    src = tmp_path / "dip.txt"
+    src.write_text(",".join(map(repr, fejer_dip(128).tolist())) + "\n")
+    assert run_cli(["bound-psd", "--input", str(src), "--out", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: PSD is negative at lambda = 0.767757 (value -4.000e-02)\n"
+    assert captured.out == ""
+    assert run_cli(["bound-cov", "--input", str(src), "--out", "-"]) == 0
+
+
 class TestBoundPsd:
     def test_bound_and_rate(self, tmp_path):
         src = tmp_path / "cov.txt"

@@ -66,6 +66,13 @@ def test_commands_without_gaussian_cells_load_no_scipy_module(argv, tmp_path):
     assert modules_after(_MAIN.format(argv=argv), tmp_path) == ""
 
 
+def test_bound_psd_loads_no_fft(tmp_path):
+    # a PSD is checked at its stationary points, not on an FFT grid
+    (tmp_path / "cov.txt").write_text(_COVARIANCES["cov.txt"] + "\n")
+    argv = ["bound-psd", "--input", "cov.txt"]
+    assert "numpy.fft" not in modules_after(_MAIN.format(argv=argv), tmp_path, package="numpy").split(",")
+
+
 @pytest.mark.parametrize(
     "argv", [["fig3"], ["fig3", "--sigma", "5"], ["fig4"]], ids=lambda argv: " ".join(argv)
 )

@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from entrobound.spectrum import (
     tridiagonal_determinant,
 )
 
-from conftest import banded_cholesky_bound, random_ma_covariance
+from conftest import DIP_AT, banded_cholesky_bound, fejer_dip, random_ma_covariance
 
 # covariances whose dithered sequence has kappa^2 below 1e-17 at step 116 and
 # 4e-12 at the next step
@@ -83,14 +85,13 @@ class TestPsdFromFiniteCovariance:
             psd_from_finite_covariance(CovarianceSequence((1.0, 0.9)))
         assert "lambda" in str(err.value)
 
-    def test_series_longer_than_the_grid(self):
-        # 1 + 2 a cos(4500 lambda) reaches 1 - 2a on the 4096-point grid
+    def test_series_longer_than_the_lag_limit(self):
+        # 1 + 0.8 cos(4500 lambda) >= 0.2, but its degree exceeds MAX_LAGS:
+        # rejected at construction, before any root solve
         c = np.zeros(4501)
         c[0] = 1.0
         c[4500] = 0.4
-        assert SpectralDensity.cosine_series(c)(0.0) == pytest.approx(1.8)
-        c[4500] = 0.6
-        with pytest.raises(PsdValidationError):
+        with pytest.raises(DomainError, match=f"degree 4500 exceeds the limit of {MAX_LAGS}"):
             SpectralDensity.cosine_series(c)
 
 
@@ -378,6 +379,98 @@ class TestSpectralDensityValidation:
     def test_markov_mixture_with_non_finite_b(self, b):
         with pytest.raises(PsdValidationError, match="non-finite at lambda = 0.000000"):
             SpectralDensity.markov_mixture(1.0, b, 0.5)
+
+
+def _series(c: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    return c[0] + 2.0 * np.cos(np.multiply.outer(lam, np.arange(1, len(c)))) @ c[1:]
+
+
+def _minimum(c: np.ndarray) -> tuple[float, float]:
+    """min and max|.| of c_0 + 2 sum_m c_m cos(m*lambda) on [0, pi], from the
+    2**18-point grid.  The minimum is refined on [x - delta, x + delta], 201
+    points, around each local grid minimum x within Bernstein's bound
+    q^2 delta^2 / 8 max|Phi| of the lowest node, which holds the true minimum."""
+    n, q = 2**18, len(c) - 1
+    grid = 2.0 * np.fft.rfft(c, n).real - c[0]
+    top, delta = float(np.abs(grid).max()), 2.0 * math.pi / n
+    middle = (grid[1:-1] <= grid[:-2]) & (grid[1:-1] <= grid[2:])
+    inner = np.r_[grid[1] >= grid[0], middle, grid[-2] >= grid[-1]]
+    starts = np.flatnonzero(inner & (grid <= grid.min() + q * q * delta * delta / 8.0 * top))
+    x = np.clip(np.add.outer(starts, np.linspace(-1.0, 1.0, 201)) * delta, 0.0, math.pi)
+    return float(min(grid.min(), _series(c, x.ravel()).min())), top
+
+
+class TestExactValidation:
+    """Phi >= 0 is checked at its exact minimum, not on a grid."""
+
+    @pytest.mark.parametrize("q", [16, 32, 64, 128])
+    def test_fejer_dip_between_grid_nodes(self, q):
+        # a Phi = -0.04 dip at DIP_AT, midway between two nodes of the old
+        # 4096-point grid: at q = 128 both nodes read +0.063 and the grid
+        # accepted it.  The message names the minimum to 6 decimals; the
+        # other kernel's slope moves it off DIP_AT by up to 1.1e-3 at q < 128
+        c = fejer_dip(q)
+        CovarianceSequence(tuple(c))  # the Toeplitz matrix is positive semidefinite
+        x = DIP_AT + np.linspace(-2e-3, 2e-3, 40001)
+        x = x[np.argmin(_series(c, x))] + np.linspace(-1e-7, 1e-7, 2001)
+        phi = _series(c, x)
+        with pytest.raises(PsdValidationError) as err:
+            SpectralDensity.cosine_series(c)
+        at, value = re.fullmatch(r"PSD is negative at lambda = (\S+) \(value (\S+)\)", str(err.value)).groups()
+        assert at == f"{x[np.argmin(phi)]:.6f}"
+        assert float(value) == pytest.approx(phi.min(), rel=1e-3)
+        if q == 128:
+            assert (at, value) == (f"{DIP_AT:.6f}", "-4.000e-02")
+
+    def test_candidate_set_is_exact(self):
+        # 200 seeded series at q = 2..128, c_0 shifted so that the minimum is
+        # +-1e-6 max|Phi|, far outside the 1e-9 slack: the sign decides
+        rng = np.random.default_rng(31)
+        for i in range(200):
+            q = (2, 128)[i] if i < 2 else int(rng.integers(2, 129))
+            c = rng.normal(size=q + 1) / (1.0 + np.arange(q + 1)) ** (i % 4 / 2)
+            low, top = _minimum(c)
+            for sign in (1.0, -1.0):
+                shifted = c.copy()
+                shifted[0] += sign * 1e-6 * top - low
+                if sign > 0:
+                    SpectralDensity.cosine_series(shifted)
+                else:
+                    with pytest.raises(PsdValidationError, match="negative"):
+                        SpectralDensity.cosine_series(shifted)
+
+    def test_every_ma_series_is_accepted(self):
+        # |hat theta|^2 >= 0, with double zeros on the circle when theta has
+        # a factor 1 + z or 1 - z
+        rng = np.random.default_rng(32)
+        for i in range(100):
+            theta = rng.normal(size=int(rng.integers(1, 128)))
+            theta = np.convolve(theta, [(1.0,), (1.0, 1.0), (1.0, -1.0)][i % 3])
+            q = len(theta) - 1
+            SpectralDensity.cosine_series(np.correlate(theta, theta, "full")[q:])
+
+    def test_extreme_scales_raise_or_construct_without_warnings(self):
+        # near 1e308 or subnormal: a DomainError or a clean construction,
+        # never a numpy error or warning
+        rng = np.random.default_rng(33)
+        cases = [[2.225073858507e-311, 1.0, 1.0], [1e308, 1e308], [1e307] + [0.0] * 127 + [5e306]]
+        for q in (2, 5, 40, 128):
+            theta = rng.normal(size=q + 1)
+            ma = np.correlate(theta, theta, "full")[q:]
+            for series in (ma, rng.normal(size=q + 1)):
+                cases += [series / np.abs(series).max() * s for s in (1e308, 1e300, 1e-300, 1e-310, 5e-324)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for c in cases:
+                for a, omega in ((0.0, 0.0), (0.5, 0.9)):  # a cosine series, then with a Markov term
+                    try:
+                        SpectralDensity(tuple(c), a, omega)
+                    except DomainError:
+                        pass
+        # Phi(0) = Phi(pi) = 0.8e308 but Phi(pi/2) = -0.4e308: |c_0| + 2 sum|c_m|
+        # overflows, so no stationary point can be solved for, and it is rejected
+        with pytest.raises(PsdValidationError, match="too large"):
+            SpectralDensity.cosine_series([0.8e308, 0.0, 0.3e308, 0.0, -0.3e308])
 
 
 class TestSpectralDensityIsFrozen:
