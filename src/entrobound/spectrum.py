@@ -139,6 +139,14 @@ class SpectralDensity:
                 comrade[-1] -= np.arange(1, q) / (2 * q) * (e[1:q] / e[q])
                 lam = np.concatenate((lam, np.arccos(np.linalg.eigvals(comrade).real.clip(-1.0, 1.0))))
             vals = self(lam)
+            if not np.isfinite(vals).all() and np.isfinite(c).all() and math.isfinite(self.a):
+                # an overflow inside the sum: Phi * 2**-k, from exactly scaled terms, cannot
+                k = math.frexp(max(float(np.abs(c).max()), abs(self.a)))[1]
+                scaled = self._evaluate(np.ldexp(c, -k), math.ldexp(self.a, -k), lam)
+                low = int(np.argmin(scaled))
+                if scaled[low] < -_NEGATIVITY_SLACK * float(np.abs(scaled).max()):
+                    value = np.ldexp(scaled[low], k)
+                    raise PsdValidationError(f"PSD is negative at lambda = {lam[low]:.6f} (value {value:.3e})")
         if not np.isfinite(vals).all():
             raise PsdValidationError(f"PSD is non-finite at lambda = {lam[~np.isfinite(vals)][0]:.6f}")
         if not math.isfinite(scale):
@@ -174,11 +182,14 @@ class SpectralDensity:
     def __call__(self, lam):
         scalar = np.isscalar(lam)
         lam = np.atleast_1d(np.asarray(lam, dtype=float))
-        c = np.array(self.coefficients)
+        out = self._evaluate(np.array(self.coefficients), self.a, lam)
+        return float(out[0]) if scalar else out
+
+    def _evaluate(self, c: np.ndarray, a: float, lam: np.ndarray) -> np.ndarray:
+        """Phi at lam with coefficients c and Markov weight a in place of its own."""
         series = c[0] + 2.0 * np.cos(np.multiply.outer(lam, np.arange(1, len(c)))) @ c[1:]
         w = self.omega
-        out = series + self.a * (1.0 - w**2) / (1.0 + w**2 - 2.0 * w * np.cos(lam))
-        return float(out[0]) if scalar else out
+        return series + a * (1.0 - w**2) / (1.0 + w**2 - 2.0 * w * np.cos(lam))
 
 
 @dataclass(frozen=True)

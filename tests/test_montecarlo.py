@@ -24,6 +24,7 @@ from entrobound.processes import (
     QuantizedMaModel,
     TwoStateHmm,
 )
+from entrobound.processes import _pmf_entropy
 from conftest import load_reference
 
 MODELS = [
@@ -301,6 +302,14 @@ class TestEmpiricalCovariance:
         assert path.centered is path.centered
         assert not path.centered.flags.writeable
 
+    def test_path_values_are_read_only(self):
+        # the cached centred path cannot go stale: the values cannot change
+        path = simulate(PoissonModel(2.5), 10**5, 1)
+        est = empirical_covariance(path, 0)
+        with pytest.raises(ValueError):
+            path.values[:] = 0
+        assert empirical_covariance(path, 0) == est
+
     def test_lag_bound(self):
         path = SamplePath(PoissonModel(1.0), 0, np.zeros(100, dtype=np.int64))
         with pytest.raises(DomainError):
@@ -364,9 +373,8 @@ class TestEmpiricalConditionalEntropy:
     )
     def test_shared_kernel_matches_two_bincount_formula(self, model, seed):
         # the estimator runs the analytic kernel processes._pmf_entropy on
-        # the pair table; the formula it replaced is the oracle
-        from entrobound.montecarlo import _plugin_conditional_entropy
-
+        # the pair tables; the formula it replaced is the oracle, on the
+        # full path and on each of the 64 batches behind the standard error
         def two_bincounts(a, b):
             base = min(int(a.min()), int(b.min()))
             width = max(int(a.max()), int(b.max())) - base + 1
@@ -375,12 +383,13 @@ class TestEmpiricalConditionalEntropy:
             joint, rows = joint[joint > 0], rows[rows > 0]
             return float(((rows * np.log(rows)).sum() - (joint * np.log(joint)).sum()) / len(a))
 
-        values = simulate(model, 10**6, seed).values
-        a, b = values[:-1], values[1:]
-        assert _plugin_conditional_entropy(a, b) == pytest.approx(two_bincounts(a, b), abs=1e-13)
-        assert _plugin_conditional_entropy(a[:15625], b[:15625]) == pytest.approx(
-            two_bincounts(a[:15625], b[:15625]), abs=1e-13
-        )
+        path = simulate(model, 10**6, seed)
+        a, b = path.values[:-1], path.values[1:]
+        est = empirical_conditional_entropy(path)
+        assert est.value == pytest.approx(two_bincounts(a, b), abs=1e-13)
+        w = len(a) // 64
+        batches = np.array([two_bincounts(a[i * w : (i + 1) * w], b[i * w : (i + 1) * w]) for i in range(64)])
+        assert est.std_error == pytest.approx(float(batches.std(ddof=1) / 8.0), abs=1e-13)
 
     def test_alphabet_guard(self):
         values = np.zeros(10**5, dtype=np.int64)
@@ -393,6 +402,158 @@ class TestEmpiricalConditionalEntropy:
         path = SamplePath(PoissonModel(1.0), 0, np.zeros(10**4, dtype=np.int64))
         with pytest.raises(DomainError):
             empirical_conditional_entropy(path)
+
+
+# The samplers and the pair estimator as they stood before each was cut to
+# fewer passes over the path (DMA through rng.choice, the two-state chain as an
+# int64 state array, the estimator with one table pass per batch): frozen
+# oracles that the current code must match bit for bit.
+def _reference_chain(rng, g1, g2, n):
+    r = g1 + g2
+    x0 = 1 if rng.random() < g1 / r else 0
+    first, second = (g2, g1) if x0 else (g1, g2)
+    expected = n * g1 * g2 / r
+    block = int(expected + 4.0 * math.sqrt(expected)) + 2
+    parts, total = [], 0
+    while total < n:
+        m = min(block, (n - total) // 2 + 1)
+        draws = (rng.geometric(first, m), rng.geometric(second, m))
+        parts.append(np.minimum(np.column_stack(draws), n).ravel())
+        total += int(parts[-1].sum())
+    lengths = np.diff(np.minimum(np.cumsum(np.concatenate(parts)), n), prepend=0)
+    return np.repeat((np.arange(len(lengths)) + x0) % 2, lengths)
+
+
+def _reference_simulate(model, n, seed):
+    rng = np.random.default_rng(seed)
+    if isinstance(model, PoissonModel):
+        return rng.poisson(model.rate, n).astype(np.int64)
+    if isinstance(model, DmaModel):
+        L = model.order
+        innovations = rng.poisson(model.innovation_variance, n + L).astype(np.int64)
+        theta = rng.choice(L + 1, size=n, p=np.asarray(model.mixture_weights))
+        return innovations[np.arange(n) + L - theta]
+    if isinstance(model, TwoStateHmm):
+        em = model.emission
+        states = _reference_chain(rng, model.gamma1, model.gamma2, n)
+        values = np.empty(n, dtype=np.int64)
+        for state in (0, 1):
+            visits = states == state
+            size = int(visits.sum())
+            if isinstance(em, BinomialEmission):
+                values[visits] = rng.binomial(em.trials, (em.p1, em.p2)[state], size)
+            else:
+                values[visits] = rng.poisson((em.rate1, em.rate2)[state], size)
+        return values
+    if isinstance(model, QuantizedMaModel):
+        w = rng.normal(0.0, model.sigma, n + 1)
+        return np.ceil(w[1:] + model.theta * w[:-1] - 0.5).astype(np.int64)
+    x0 = rng.normal(0.0, math.sqrt(model.stationary_variance))
+    w = rng.normal(0.0, model.sigma, n)
+    x = _ar1_filter(w, model.phi, x0)
+    v = rng.normal(0.0, model.nu, n)
+    return np.ceil(x + v - 0.5).astype(np.int64)
+
+
+def _reference_plugin(a, b):
+    base = min(int(a.min()), int(b.min()))
+    width = max(int(a.max()), int(b.max())) - base + 1
+    if width > 4096:
+        raise DomainError(f"alphabet span {width} is too large for the plug-in pair estimator")
+    joint = np.bincount((a - base) * width + (b - base), minlength=width * width).reshape(width, width)
+    return _pmf_entropy(joint / len(a))
+
+
+def _reference_conditional_entropy(values):
+    a, b = values[:-1], values[1:]
+    value = _reference_plugin(a, b)
+    w = len(a) // 64
+    per_batch = np.array([_reference_plugin(a[i * w : (i + 1) * w], b[i * w : (i + 1) * w]) for i in range(64)])
+    return value, float(per_batch.std(ddof=1) / math.sqrt(64)), len(a)
+
+
+def _dma_weights(order):
+    # random weights with every third one zero (the first among them)
+    w = np.random.default_rng(order).random(order + 1)
+    w[::3] = 0.0 if order else 1.0
+    return tuple(w / w.sum())
+
+
+BIT_IDENTITY_MODELS = (
+    [DmaModel(_dma_weights(q), 2.0) for q in (0, 1, 2, 16, 128)]
+    + [DmaModel((0.25, 0.25, 0.5), 1.5)]  # cdf entries on bucket edges
+    + [
+        TwoStateHmm(g1, g2, em)
+        for (g1, g2), em in zip(
+            [(0.1, 0.3), (0.7, 0.6), (0.5, 0.5), (1e-4, 0.9999), (1e-300, 1e-300)],
+            [BinomialEmission(10, 0.2, 0.8), PoissonEmission(1.0, 5.0)] * 3,
+        )
+    ]
+    + [QuantizedMaModel(1.0, 1.0), QuantizedMaModel(2.5, 0.0), PoissonModel(2.5)]
+    + [QuantizedArModel(1.0, 0.9, 4.0), QuantizedArModel(1.0, -0.6, 0.0), QuantizedArModel(3.0, 0.5, 0.0)]
+)
+
+
+class TestBitIdentity:
+    @pytest.mark.parametrize("model", BIT_IDENTITY_MODELS, ids=lambda m: type(m).__name__)
+    @pytest.mark.parametrize("n,seed", [(1, 0), (1000, 1), (10**5 + 37, 2)])
+    def test_paths_match_the_reference_samplers(self, model, n, seed):
+        got = simulate(model, n, seed).values
+        want = _reference_simulate(model, n, seed)
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("model", BIT_IDENTITY_MODELS[6:], ids=lambda m: type(m).__name__)
+    def test_conditional_entropy_matches_the_reference(self, model):
+        # n - 1 = 64 * 1562 + 31, so the full table has 31 pairs past the batches
+        path = simulate(model, 10**5, seed=3)
+        est = empirical_conditional_entropy(path)
+        assert (est.value, est.std_error, est.n_samples) == _reference_conditional_entropy(path.values)
+
+    def _paths(self):
+        rng = np.random.default_rng(9)
+        small = rng.integers(-3, 5, 64 * 1600 + 1)  # n - 1 a multiple of 64: no pairs past the batches
+        outlier = small.copy()
+        outlier[1600] = -50  # batch 0's last b-value and batch 1's first a-value
+        wide = rng.integers(0, 8, 10**5)
+        wide[[500, 501, 99_999]] = [4094, -1, 4094]  # span 4096 in batch 0, and a top value past the batches
+        paths = {"small": small, "constant": np.full(10**5, 7), "outlier": outlier, "span-4096": wide}
+        # at int64's ends, where value * span wraps around
+        paths.update({"top": small + (2**63 - 5), "bottom": small - (2**63 - 3)})
+        return paths
+
+    @pytest.mark.parametrize("name", ["small", "constant", "outlier", "span-4096", "top", "bottom"])
+    def test_conditional_entropy_on_edge_paths(self, name):
+        values = self._paths()[name].astype(np.int64)
+        est = empirical_conditional_entropy(SamplePath(PoissonModel(1.0), 0, values))
+        assert (est.value, est.std_error, est.n_samples) == _reference_conditional_entropy(values)
+
+    def test_span_4097_raises_like_the_reference(self):
+        values = self._paths()["span-4096"].astype(np.int64)
+        values[3] = 4095
+        with pytest.raises(DomainError, match="alphabet span 4097 is too large"):
+            _reference_conditional_entropy(values)
+        with pytest.raises(DomainError, match="alphabet span 4097 is too large"):
+            empirical_conditional_entropy(SamplePath(PoissonModel(1.0), 0, values))
+
+
+class TestPairTableMemory:
+    @pytest.mark.parametrize("hi", [4096, 3000])
+    def test_no_bincount_exceeds_the_largest_table(self, monkeypatch, hi):
+        # span 4096 in one batch, or about 3000 in every batch, so that no two
+        # batch tables fit in one bincount
+        values = np.random.default_rng(hi).integers(0, 8 if hi == 4096 else hi, 10**5)
+        values[[10, 20]] = [0, hi - 1]
+        sizes = []
+        bincount = np.bincount
+
+        def counting(x, weights=None, minlength=0):
+            sizes.append(max(int(minlength), int(x.max()) + 1 if len(x) else 0))
+            return bincount(x, weights, minlength)
+
+        monkeypatch.setattr(np, "bincount", counting)
+        empirical_conditional_entropy(SamplePath(PoissonModel(1.0), 0, values))
+        assert sizes and max(sizes) <= 4096**2
 
 
 class TestDitheringIdentity:

@@ -380,6 +380,15 @@ class TestSpectralDensityValidation:
         with pytest.raises(PsdValidationError, match="non-finite at lambda = 0.000000"):
             SpectralDensity.markov_mixture(1.0, b, 0.5)
 
+    def test_overflow_inside_the_sum_is_read_as_negative(self):
+        # Phi(pi) = 0.5e308 - 2 * 0.5e308 - 2 * 0.5e308 = -1.5e308 is finite, but
+        # the cosine sum overflows before c_0 is added; a positive overflow is
+        # still non-finite
+        with pytest.raises(PsdValidationError, match=r"negative at lambda = 3.141593 \(value -1.500e\+308\)"):
+            SpectralDensity.cosine_series((0.5e308, 0.5e308, -0.5e308))
+        with pytest.raises(PsdValidationError, match="non-finite at lambda = 0.000000"):
+            SpectralDensity.cosine_series((1e308, 1e308, 1e308))
+
 
 def _series(c: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return c[0] + 2.0 * np.cos(np.multiply.outer(lam, np.arange(1, len(c)))) @ c[1:]
